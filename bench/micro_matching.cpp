@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "arch/topology.hpp"
-#include "core/mapper.hpp"
+#include "core/mapping_strategy.hpp"
 #include "core/matching.hpp"
 #include "util/rng.hpp"
 
@@ -44,8 +44,9 @@ void BM_HierarchicalMapping32(benchmark::State& state) {
   arch::Topology topo(arch::TopologySpec{.sockets = 2, .cores_per_socket = 8,
                                          .smt_per_core = 2});
   const auto m = band_matrix(32, 3);
+  const auto strategy = core::make_mapping_strategy({});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compute_mapping(m, topo));
+    benchmark::DoNotOptimize(strategy->map(m, topo));
   }
 }
 BENCHMARK(BM_HierarchicalMapping32);
@@ -54,8 +55,11 @@ void BM_GreedyMapping32(benchmark::State& state) {
   arch::Topology topo(arch::TopologySpec{.sockets = 2, .cores_per_socket = 8,
                                          .smt_per_core = 2});
   const auto m = band_matrix(32, 3);
+  core::MappingConfig config;
+  config.strategy = "greedy";
+  const auto strategy = core::make_mapping_strategy(config);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compute_mapping_greedy(m, topo));
+    benchmark::DoNotOptimize(strategy->map(m, topo));
   }
 }
 BENCHMARK(BM_GreedyMapping32);

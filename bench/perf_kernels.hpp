@@ -34,7 +34,7 @@ struct KernelResult {
   std::uint64_t checksum = 0;  ///< deterministic result fold
   std::uint64_t reference = 0; ///< expected checksum
   /// Kernel-specific auxiliary measurements, carried into the JSON
-  /// verbatim (e.g. the engine-parallel kernel's serial-mode timing).
+  /// verbatim (e.g. the mapper-scale kernel's 1024-thread remap time).
   std::vector<std::pair<std::string, double>> extras;
   bool checksum_ok() const { return checksum == reference; }
 };

@@ -1,8 +1,8 @@
 // perf_regress — the perf-regression harness: re-runs the micro benchmark
-// kernels (sharing table, matching/mapping, simulator substrate, parallel
-// engine, multi-tenant service ingest) with fixed seeds, reports ns/op per
-// kernel, and emits a machine-readable BENCH_*.json ("spcd-bench-v1"
-// schema).
+// kernels (sharing table, matching/mapping, simulator substrate, engine
+// plus oracle tracer, multi-tenant service ingest) with fixed seeds,
+// reports ns/op per kernel, and emits a machine-readable BENCH_*.json
+// ("spcd-bench-v1" schema).
 //
 // Unlike the google-benchmark micros, this harness is also a *correctness*
 // gate: every kernel folds its results into a deterministic FNV-1a
@@ -42,8 +42,9 @@
 #include "core/comm_filter.hpp"
 #include "core/comm_matrix.hpp"
 #include "core/mapper.hpp"
+#include "core/mapping_strategy.hpp"
 #include "core/matching.hpp"
-#include "core/parallel_oracle.hpp"
+#include "core/oracle.hpp"
 #include "core/spcd_config.hpp"
 #include "core/spcd_detector.hpp"
 #include "mem/address_space.hpp"
@@ -168,6 +169,11 @@ KernelResult run_matching(int repeats) {
   res.items = kMatchRounds + kMapRounds + kFilterRounds;
   res.reference = kRefMatching;
 
+  core::MappingConfig greedy_config;
+  greedy_config.strategy = "greedy";
+  const auto blossom = core::make_mapping_strategy({});
+  const auto greedy_strategy = core::make_mapping_strategy(greedy_config);
+
   Checksum sum;
   bool first = true;
   res.ns_per_op = time_best_of(repeats, res.items, [&] {
@@ -213,8 +219,8 @@ KernelResult run_matching(int repeats) {
       for (int round = 0; round < kMapRounds / 2; ++round) {
         m.add(static_cast<std::uint32_t>(round) % (n - 1),
               static_cast<std::uint32_t>(round) % (n - 1) + 1, 25);
-        const auto mapping = core::compute_mapping(m, topo);
-        const auto greedy = core::compute_mapping_greedy(m, topo);
+        const auto mapping = blossom->map(m, topo);
+        const auto greedy = greedy_strategy->map(m, topo);
         for (std::uint32_t t = 0; t < n; ++t) {
           acc += mapping.placement[t] * 3 + greedy.placement[t];
         }
@@ -334,23 +340,18 @@ KernelResult run_simulator(int repeats) {
   return res;
 }
 
-// --- kernel 4: deterministically-parallel engine --------------------------
+// --- kernel 4: engine plus oracle tracer ---------------------------------
 //
-// The sharded engine pipeline end to end: op-stream pre-generation on
-// worker shards feeding the serial commit loop, with the region-parallel
-// oracle tracer fanning the full access stream out at the same width
-// (the oracle-profiling configuration, the heaviest per-op path a run
-// uses). The identical fixed-seed workload runs serially (shards = 1) and
-// sharded (shards = 8); the checksum folds finish time, counters and the
-// oracle matrix from BOTH modes, so any divergence between them — or from
-// the reference — fails the harness. ns_per_op reports the sharded mode;
-// extras record the serial timing and the intra-run speedup (honest,
-// host-dependent numbers: on a single-core host the sharded mode only
-// adds queueing overhead).
+// The serial engine end to end with an oracle tracer observing the full
+// access stream (the oracle-profiling configuration, the heaviest per-op
+// path a run uses). The checksum folds finish time, counters and the
+// oracle matrix. The kernel keeps the name it had when it also ran a
+// sharded engine beside the serial one, so its checksum stays comparable
+// with the committed BENCH files: the serial half computed exactly these
+// values.
 KernelResult run_engine_parallel(int repeats) {
   constexpr std::uint64_t kOpsPerThread = 50'000;
   constexpr std::uint32_t kThreads = 8;
-  constexpr unsigned kShards = 8;
 
   class Loop final : public sim::Workload {
    public:
@@ -380,25 +381,19 @@ KernelResult run_engine_parallel(int repeats) {
   res.items = kOpsPerThread * kThreads;
   res.reference = kRefEngineParallel;
 
-  Checksum serial_sum;
-  Checksum sharded_sum;
-  bool folded_serial = false;
-  bool folded_sharded = false;
-  const auto run_mode = [&](unsigned shards, Checksum& sum, bool* folded) {
+  Checksum sum;
+  bool folded = false;
+  res.ns_per_op = time_best_of(repeats, res.items, [&] {
     sim::Machine machine(arch::dual_xeon_e5_2650());
     auto as = machine.make_address_space();
     Loop wl;
-    sim::EngineConfig cfg;
-    cfg.shards = shards;  // explicit: independent of SPCD_ENGINE_SHARDS
-    sim::Engine engine(machine, as, wl, {0, 1, 2, 3, 4, 5, 6, 7}, cfg);
-    core::ParallelOracleTracer tracer(kThreads, shards,
-                                      /*granularity_shift=*/6,
-                                      /*time_window=*/100'000);
+    sim::Engine engine(machine, as, wl, {0, 1, 2, 3, 4, 5, 6, 7});
+    core::OracleTracer tracer(kThreads, /*granularity_shift=*/6,
+                              /*time_window=*/100'000);
     tracer.install(engine);
     engine.run();
-    tracer.finish();
-    if (!*folded) {
-      *folded = true;
+    if (!folded) {
+      folded = true;
       sum.fold(engine.finish_time());
       sum.fold(engine.counters().instructions);
       sum.fold(engine.counters().l2_misses);
@@ -406,28 +401,8 @@ KernelResult run_engine_parallel(int repeats) {
       sum.fold(tracer.matrix().total());
       sum.fold(tracer.accesses_seen());
     }
-  };
-
-  const double serial_ns = time_best_of(
-      repeats, res.items, [&] { run_mode(1, serial_sum, &folded_serial); });
-  res.ns_per_op = time_best_of(repeats, res.items, [&] {
-    run_mode(kShards, sharded_sum, &folded_sharded);
   });
-  // The sharded mode must reproduce the serial results bit for bit; a
-  // divergence poisons the checksum so the reference comparison fails even
-  // if the serial half alone still matches.
-  if (serial_sum.h != sharded_sum.h) {
-    std::fprintf(stderr,
-                 "micro_engine_parallel: sharded run diverged from serial "
-                 "(serial 0x%016llx, sharded 0x%016llx)\n",
-                 static_cast<unsigned long long>(serial_sum.h),
-                 static_cast<unsigned long long>(sharded_sum.h));
-  }
-  res.checksum = serial_sum.h == sharded_sum.h ? serial_sum.h : ~serial_sum.h;
-  res.extras.emplace_back("shards", static_cast<double>(kShards));
-  res.extras.emplace_back("serial_ns_per_op", serial_ns);
-  res.extras.emplace_back(
-      "sharded_speedup", res.ns_per_op > 0.0 ? serial_ns / res.ns_per_op : 0.0);
+  res.checksum = sum.h;
   res.extras.emplace_back(
       "host_hw_threads",
       static_cast<double>(std::thread::hardware_concurrency()));

@@ -175,6 +175,11 @@ bool emit_outputs(const spcd::svc::SpcdService& service,
 int run_serve(const Options& opt) {
   using namespace spcd;
   svc::SpcdService service(opt.service);
+  if (!service.journal_ok()) {
+    std::fprintf(stderr, "spcdd: cannot create journal %s\n",
+                 opt.service.journal_path.c_str());
+    return 1;
+  }
   obs::TraceConfig trace_cfg;
   trace_cfg.enabled = !opt.trace_out.empty();
   obs::Session trace(trace_cfg);
@@ -283,6 +288,11 @@ int run_drive(const Options& opt) {
 
   // Self-contained: service, server, and tenants in one process.
   svc::SpcdService service(opt.service);
+  if (!service.journal_ok()) {
+    std::fprintf(stderr, "spcdd: cannot create journal %s\n",
+                 opt.service.journal_path.c_str());
+    return 1;
+  }
   obs::TraceConfig trace_cfg;
   trace_cfg.enabled = !opt.trace_out.empty();
   obs::Session trace(trace_cfg);

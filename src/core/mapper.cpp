@@ -1,22 +1,8 @@
 #include "core/mapper.hpp"
 
-#include "core/mapper_detail.hpp"
 #include "util/contracts.hpp"
 
 namespace spcd::core {
-
-MappingResult compute_mapping(const CommMatrix& matrix,
-                              const arch::Topology& topology,
-                              const sim::Placement& current) {
-  return detail::compute_with(matrix, topology, detail::merge_round_matched,
-                              current);
-}
-
-MappingResult compute_mapping_greedy(const CommMatrix& matrix,
-                                     const arch::Topology& topology) {
-  return detail::compute_with(matrix, topology, detail::merge_round_greedy,
-                              {});
-}
 
 std::uint32_t count_moves(const sim::Placement& current,
                           const sim::Placement& target) {

@@ -1,7 +1,8 @@
 // Internals shared by the mapping strategies (core/mapping_strategy.hpp):
 // the merge-round workspace and the grouping-tree driver behind the Blossom
 // and greedy mappers, reused verbatim by the hierarchical multilevel mapper
-// for its exact small levels. Not installed; include only from src/core.
+// for its exact small levels. Not installed; include only from src/core
+// and its tests.
 #pragma once
 
 #include <algorithm>

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/hierarchical_mapper.hpp"
+#include "core/mapper_detail.hpp"
 
 namespace spcd::core {
 
@@ -17,22 +18,39 @@ std::uint64_t MappingStrategy::decision_cost(std::uint32_t num_threads,
 
 namespace {
 
+using detail::compute_with;
+using detail::merge_round_greedy;
+using detail::merge_round_matched;
+
+// The thread mapping algorithm of Section IV-B: model the communication
+// matrix as a complete weighted graph, pair threads with Edmonds' maximum
+// weight perfect matching, then repeatedly pair the resulting groups using
+// the heuristic of Eq. (1) (group-to-group weight = sum of member-pairwise
+// communication), building a binary grouping tree. Leaves of that tree, in
+// tree order, are assigned to hardware contexts in topology order — so the
+// tightest pairs land on SMT siblings, the next level shares L2/L3, and the
+// loosest split crosses sockets. A non-empty `current` keeps groups on
+// their current symmetric resources where it can, so repeated remaps do
+// not churn the whole fleet.
 class BlossomStrategy final : public MappingStrategy {
  public:
   std::string_view name() const override { return "blossom"; }
   MappingResult map(const CommMatrix& matrix, const arch::Topology& topology,
                     const sim::Placement& current) const override {
-    return compute_mapping(matrix, topology, current);
+    return compute_with(matrix, topology, merge_round_matched, current);
   }
 };
 
+// Greedy baseline for the ablation study (DESIGN.md S5.6): repeatedly pair
+// the two unmatched threads with the highest mutual communication instead
+// of solving the matching optimally.
 class GreedyStrategy final : public MappingStrategy {
  public:
   std::string_view name() const override { return "greedy"; }
   MappingResult map(const CommMatrix& matrix, const arch::Topology& topology,
                     const sim::Placement& current) const override {
     (void)current;  // the greedy baseline has no placement-stable mode
-    return compute_mapping_greedy(matrix, topology);
+    return compute_with(matrix, topology, merge_round_greedy, sim::Placement{});
   }
 };
 

@@ -5,9 +5,7 @@
 #include "core/mapping_strategy.hpp"
 #include "core/metrics_export.hpp"
 #include "core/oracle.hpp"
-#include "core/parallel_oracle.hpp"
 #include "core/spcd_kernel.hpp"
-#include "sim/engine_shards.hpp"
 #include "sim/energy.hpp"
 #include "sim/machine.hpp"
 #include "util/contracts.hpp"
@@ -74,17 +72,10 @@ const sim::Placement& Runner::oracle_placement(
   sim::Engine engine(machine, as, *workload,
                      os_spread_placement(machine.topology(), n),
                      config_.engine);
-  // The tracer fans the access stream out to the same worker width the
-  // engine shards at; its merged matrix is cell-identical to a serial pass
-  // for any width, so the oracle placement stays shard-count-invariant.
-  const unsigned oracle_workers = config_.engine.shards != 0
-                                      ? config_.engine.shards
-                                      : sim::configured_engine_shards();
-  ParallelOracleTracer tracer(n, oracle_workers, /*granularity_shift=*/6,
-                              config_.spcd.table.time_window);
+  OracleTracer tracer(n, /*granularity_shift=*/6,
+                      config_.spcd.table.time_window);
   tracer.install(engine);
   engine.run();
-  tracer.finish();
 
   // The oracle uses the same strategy the kernel is configured with, so
   // oracle-vs-SPCD comparisons isolate the detection mechanism, not the

@@ -92,7 +92,7 @@ void SpcdDetector::drain() {
     if (adversary_ != nullptr) {
       // Phantom faults ride on the delivered real fault, fabricated here
       // in the serial drain loop: the attack schedule is a pure function
-      // of the fault stream, so it is identical at any job/shard count.
+      // of the fault stream, so it is identical at any job count.
       // The detector itself cannot tell them from real faults — they run
       // through the exact same delivery path.
       chaos::PhantomFault phantoms[4];

@@ -55,13 +55,6 @@ void SpcdKernel::install(sim::Engine& engine) {
     hooked_space_->add_fault_observer(data_mapper_.get());
   }
   injector_.install(engine);
-  // Fault batches also drain at every engine epoch — the deterministic
-  // heartbeat the parallel engine synchronizes on. Safe at any frequency:
-  // drain order preserves fault order, costs were charged synchronously in
-  // on_fault, and saturation checks key off per-fault counters and the
-  // fault's own timestamp, so an extra drain point never changes results
-  // (the byte-identity CI gate holds this to account).
-  engine.add_epoch_hook([this](sim::Engine&) { detector_.flush(); });
   engine.schedule(engine.now() + config_.mapping_interval,
                   [this](sim::Engine& e) { mapping_tick(e); });
 }

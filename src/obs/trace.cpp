@@ -121,12 +121,4 @@ ScopedSession::ScopedSession(Session* session) : prev_(t_session) {
 
 ScopedSession::~ScopedSession() { t_session = prev_; }
 
-std::function<void()> bind_current_session(std::function<void()> job) {
-  Session* session = t_session;  // captured on the submitting thread
-  return [session, job = std::move(job)] {
-    ScopedSession bind(session);
-    job();
-  };
-}
-
 }  // namespace spcd::obs

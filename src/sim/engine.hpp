@@ -11,17 +11,6 @@
 //     (swapping with the current occupant) and charges the migration cost,
 //   * detection/mapping overhead cycles are accounted separately so the
 //     harness can reproduce the paper's Figure 16.
-//
-// Parallel stepping (SPCD_ENGINE_SHARDS > 1): the engine splits into a
-// generate stage and a commit stage. Shard workers (ShardPrefetcher)
-// pre-compute per-thread op streams — legal because ThreadProgram::next()
-// is pure per thread — while the commit loop below consumes those streams
-// in exactly the serial interleaving order and remains the sole writer of
-// machine state. Epochs (a fixed simulated-time heartbeat) are the
-// deterministic boundary where cross-shard messages drain in (shard, seq)
-// order and registered hooks (the SPCD detector's fault-batch flush) run.
-// Results are byte-identical at any shard count by construction; see
-// DESIGN.md §12 for the full argument.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +20,8 @@
 #include <vector>
 
 #include "mem/address_space.hpp"
-#include "sim/engine_shards.hpp"
 #include "sim/machine.hpp"
-#include "sim/op_stream.hpp"
 #include "sim/perf_counters.hpp"
-#include "sim/shard_prefetcher.hpp"
 #include "sim/workload.hpp"
 #include "util/units.hpp"
 
@@ -51,15 +37,10 @@ struct EngineConfig {
   util::Cycles max_cycles = 1ULL << 40;
   /// Cost of a barrier episode, added after the last arrival.
   std::uint32_t barrier_cost = 300;
-  /// Worker shards for op-stream pre-generation (0 = SPCD_ENGINE_SHARDS;
-  /// effective count is clamped to the thread count, 1 = serial).
-  unsigned shards = 0;
-  /// Epoch heartbeat: cross-shard drains and epoch hooks fire every this
-  /// many simulated cycles. Pure sim-time, so epochs land identically at
-  /// any shard count.
-  util::Cycles epoch_interval = 1ULL << 20;
-  /// Per-thread generation run-ahead window, in OpChunks.
-  std::size_t window_chunks = 4;
+  /// Pinned to 1: the engine is serial. The member remains only because
+  /// the benchmark harness (perfbench/harness.cpp) assigns `shards = 1`;
+  /// the constructor rejects any other value and nothing else reads it.
+  unsigned shards = 1;
 };
 
 class Engine {
@@ -77,15 +58,6 @@ class Engine {
 
   /// Run the workload to completion (all threads finished).
   void run();
-
-  /// Register a hook invoked at every epoch boundary (after the
-  /// cross-shard drain). Hooks run in registration order at a
-  /// deterministic simulated time, so they may mutate simulation state
-  /// (the SPCD kernel flushes its fault batches here).
-  using EpochHook = std::function<void(Engine&)>;
-  void add_epoch_hook(EpochHook hook) {
-    epoch_hooks_.push_back(std::move(hook));
-  }
 
   // --- results ---
   /// Completion time of the last thread, in cycles.
@@ -108,10 +80,6 @@ class Engine {
   }
   std::uint32_t active_threads() const { return active_threads_; }
   util::Cycles now() const { return now_; }
-  /// Effective worker-shard count (1 = serial stepping).
-  unsigned shard_count() const { return plan_.num_shards(); }
-  /// Epoch boundaries crossed so far.
-  std::uint64_t epoch_count() const { return epoch_count_; }
 
   /// Move a thread to a context; if occupied, the occupant is swapped onto
   /// the thread's old context. Both movers pay the migration latency.
@@ -178,16 +146,6 @@ class Engine {
   void maybe_release_barrier();
   bool smt_sibling_busy(arch::ContextId ctx) const;
 
-  /// Next op of `tid`, in exactly the order the serial engine would see:
-  /// direct generator call when serial, buffered chunk pop when parallel.
-  Op next_op(ThreadId tid);
-  /// Fire epoch boundaries up to now_: drain cross-shard messages in
-  /// (shard, seq) order, then run the epoch hooks.
-  void advance_epochs();
-  /// Emit per-thread generation accounting (sorted by tid — invariant to
-  /// shard count and host scheduling). Skipped on timeout.
-  void emit_gen_accounting();
-
   Machine& machine_;
   mem::AddressSpace& as_;
   EngineConfig config_;
@@ -212,22 +170,6 @@ class Engine {
   bool timed_out_ = false;
   // Fixed-point SMT penalty (x256) to avoid per-op float math.
   std::uint32_t smt_penalty_x256_;
-
-  // --- parallel stepping (see header comment) ---
-  ShardPlan plan_;
-  struct OpCursor {
-    OpChunk chunk;
-    std::uint32_t index = 0;
-  };
-  std::vector<OpCursor> cursors_;             // parallel mode only
-  std::vector<std::uint64_t> ops_consumed_;   // per-tid next_op() calls
-  std::vector<ShardPrefetcher::GenRecord> gen_done_;
-  std::vector<EpochHook> epoch_hooks_;
-  util::Cycles next_epoch_;
-  std::uint64_t epoch_count_ = 0;
-  // Declared last: the prefetcher's workers borrow threads_[...].program
-  // and must be joined before those die.
-  std::unique_ptr<ShardPrefetcher> prefetcher_;
 };
 
 }  // namespace spcd::sim

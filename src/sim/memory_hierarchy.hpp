@@ -21,18 +21,13 @@
 #include "arch/topology.hpp"
 #include "sim/cache.hpp"
 #include "sim/perf_counters.hpp"
-#include "sim/sharded_line_map.hpp"
+#include "sim/line_directory.hpp"
 
 namespace spcd::sim {
 
 class MemoryHierarchy {
  public:
-  /// `directory_shards` picks the line-directory partition count (0 =
-  /// follow SPCD_ENGINE_SHARDS). Partitioning is semantically transparent:
-  /// counters and latencies are byte-identical for any value — the knob
-  /// only controls ownership granularity for the parallel engine.
-  MemoryHierarchy(const arch::MachineSpec& spec, const arch::Topology& topo,
-                  unsigned directory_shards = 0);
+  MemoryHierarchy(const arch::MachineSpec& spec, const arch::Topology& topo);
 
   /// Perform one memory access at simulated time `now` (the accessing
   /// thread's clock — used by the bandwidth model to queue transfers).
@@ -64,9 +59,6 @@ class MemoryHierarchy {
   std::uint64_t check_invariants() const;
 
   std::size_t directory_size() const { return directory_.size(); }
-  unsigned directory_partitions() const {
-    return directory_.num_partitions();
-  }
 
  private:
   struct LineState {
@@ -103,7 +95,7 @@ class MemoryHierarchy {
   std::vector<Cache> l1_;  ///< per core
   std::vector<Cache> l2_;  ///< per core
   std::vector<Cache> l3_;  ///< per socket
-  ShardedLineMap<LineState> directory_;
+  LineMap<LineState> directory_;
   PerfCounters counters_;
 
   std::uint64_t link_free_at_ = 0;           ///< inter-socket link server

@@ -1,11 +1,14 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "util/log.hpp"
 
 namespace spcd::svc {
 
@@ -13,6 +16,7 @@ namespace {
 
 constexpr std::size_t kSnapMatrixChunk = 256;  ///< cells per snap-mat line
 constexpr std::size_t kSnapPrevChunk = 512;    ///< pairs per snap-prev line
+constexpr const char kJournalFailed[] = "journal write failed";
 
 ShardedTableConfig sharded_config(const ServiceConfig& config) {
   ShardedTableConfig cfg;
@@ -39,9 +43,20 @@ SpcdService::SpcdService(const ServiceConfig& config)
 }
 
 bool SpcdService::journal_append_locked(const std::string& record) {
+  // Journal-less mode is a configuration, not a state: a journal that was
+  // asked for but cannot take the record (never created, a failed write,
+  // or closed by a failed rotation) refuses the commit instead of
+  // silently skipping it.
+  if (!config_.journal_path.empty() && !journal_.append(record)) {
+    return false;
+  }
   ++commit_seq_;
-  if (!journal_.is_open()) return true;
-  return journal_.append(record);
+  return true;
+}
+
+bool SpcdService::journal_ok() const {
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  return config_.journal_path.empty() || journal_.ok();
 }
 
 void SpcdService::journal_raw_append_locked(const std::string& record) {
@@ -62,8 +77,11 @@ RegisterResult SpcdService::register_tenant(const std::string& name,
   std::lock_guard<std::mutex> lock(commit_mu_);
   const std::uint32_t id = registry_.add(name, num_threads);
   const Tenant* t = registry_.find(id);
-  journal_append_locked(
-      encode_register(id, name, num_threads, t->base_tid));
+  if (!journal_append_locked(
+          encode_register(id, name, num_threads, t->base_tid))) {
+    result.error = kJournalFailed;
+    return result;
+  }
   if (trace_ != nullptr) {
     obs::ScopedSession bind(trace_);
     obs::trace_instant("svc", "register", total_events_, {"tenant", id},
@@ -99,8 +117,11 @@ RegisterResult SpcdService::re_register(std::uint32_t tenant_id,
   }
   registry_.re_register(tenant_id, new_threads);
   ++lifecycle_.reregisters;
-  journal_append_locked(
-      encode_reregister_record(tenant_id, new_threads, t->base_tid));
+  if (!journal_append_locked(
+          encode_reregister_record(tenant_id, new_threads, t->base_tid))) {
+    result.error = kJournalFailed;
+    return result;
+  }
   if (trace_ != nullptr) {
     obs::ScopedSession bind(trace_);
     obs::trace_instant("svc", "reregister", total_events_,
@@ -154,6 +175,15 @@ IngestResult SpcdService::ingest(std::uint32_t tenant_id,
       return result;
     }
   }
+  // Write-ahead: the record is durable before any state changes, and the
+  // ack carries the commit seq — an acked batch survives SIGKILL. A batch
+  // the journal could not take is refused with nothing applied.
+  if (!journal_append_locked(
+          encode_batch(tenant_id, tenant->batches + 1, events))) {
+    result.error = kJournalFailed;
+    return result;
+  }
+
   // The batch record implies the tenant is alive: registered tenants
   // activate on their first batch, suspects reactivate. Replay applies
   // the identical transitions from the batch record alone.
@@ -163,11 +193,6 @@ IngestResult SpcdService::ingest(std::uint32_t tenant_id,
   } else if (tenant->state == TenantState::kRegistered) {
     registry_.mark_active(tenant_id);
   }
-
-  // Write-ahead: the record is durable before any state changes, and the
-  // ack carries the commit seq — an acked batch survives SIGKILL.
-  journal_append_locked(
-      encode_batch(tenant_id, tenant->batches + 1, events));
 
   std::uint64_t comm = 0;
   const std::uint32_t tid_end = tenant->base_tid + tenant->num_threads;
@@ -346,7 +371,7 @@ ArbiterDecision SpcdService::arbitrate_now() {
 }
 
 void SpcdService::maybe_rotate_locked() {
-  if (!journal_.is_open()) return;
+  if (!journal_.ok()) return;
   const std::uint64_t max_records = config_.journal_max_records;
   const std::uint64_t max_bytes = config_.journal_max_bytes;
   if ((max_records == 0 || journal_.records_written() < max_records) &&
@@ -356,20 +381,31 @@ void SpcdService::maybe_rotate_locked() {
   // The rotate record is a commit: the detection table resets at this
   // exact point in journal order, live and under replay alike.
   const std::uint32_t next = gen_ + 1;
-  journal_append_locked(encode_rotate(next));
+  if (!journal_append_locked(encode_rotate(next))) return;
   evictions_base_ += table_.cross_tenant_evictions();
   table_.clear();
   journal_.close();
   const std::string& base = config_.journal_path;
-  std::rename(base.c_str(), generation_path(base, gen_).c_str());
+  const std::string closed = generation_path(base, gen_);
+  if (std::rename(base.c_str(), closed.c_str()) != 0) {
+    // Opening the next generation now would truncate `base`, which still
+    // holds every acked record of this one. Leave it intact and the
+    // journal closed: every later commit is refused.
+    SPCD_LOG_WARN("journal: cannot rename %s to %s (%s); refusing commits",
+                  base.c_str(), closed.c_str(), std::strerror(errno));
+    return;
+  }
   gen_ = next;
   journal_ = util::Journal::create(base, service_meta(config_, gen_));
   append_snapshot_locked();
   if (config_.journal_keep_generations > 0 &&
       gen_ > config_.journal_keep_generations) {
-    std::remove(
-        generation_path(base, gen_ - 1 - config_.journal_keep_generations)
-            .c_str());
+    const std::string pruned =
+        generation_path(base, gen_ - 1 - config_.journal_keep_generations);
+    if (std::remove(pruned.c_str()) != 0) {
+      SPCD_LOG_WARN("journal: cannot prune %s (%s)", pruned.c_str(),
+                    std::strerror(errno));
+    }
   }
   if (trace_ != nullptr) {
     obs::ScopedSession bind(trace_);

@@ -65,7 +65,8 @@ class SpcdService {
   explicit SpcdService(const ServiceConfig& config);
 
   /// Register a tenant. Fails (without journaling) on an invalid name or
-  /// a thread count outside [1, kMaxTenantThreads].
+  /// a thread count outside [1, kMaxTenantThreads], and fails when the
+  /// journal cannot take the record.
   RegisterResult register_tenant(const std::string& name,
                                  std::uint32_t num_threads);
 
@@ -86,8 +87,10 @@ class SpcdService {
   /// Commit one fault batch: journal first, then feed the sharded table
   /// and the tenant's matrix, then arbitrate if an interval boundary was
   /// crossed. Fails (without journaling) on an unknown/departed tenant,
-  /// an out-of-range local tid, or an oversized batch. A registered or
-  /// suspect tenant becomes active (the batch record implies it).
+  /// an out-of-range local tid, or an oversized batch, and fails with
+  /// nothing applied when the journal cannot take the record. A
+  /// registered or suspect tenant becomes active (the batch record
+  /// implies it).
   IngestResult ingest(std::uint32_t tenant_id,
                       const std::vector<FaultRecord>& events);
 
@@ -160,6 +163,11 @@ class SpcdService {
   std::uint32_t active_tenants() const;
   /// Journal generation of the live file (0 until the first rotation).
   std::uint32_t generation() const;
+  /// False when a journal was configured but takes no more records: it
+  /// could not be created, a write or fsync failed, or a rotation could
+  /// not rename the live file. Registers, re-registers and batches are
+  /// then refused, never acked. Always true journal-less.
+  bool journal_ok() const;
 
   /// Bind an obs session: commits emit svc trace events stamped with the
   /// total-event count (the service's deterministic time axis).

@@ -47,9 +47,8 @@ unsigned configured_jobs() {
   return hw == 0 ? 1 : hw;
 }
 
-ThreadPool::ThreadPool(unsigned threads, JobDecorator decorator)
-    : threads_(threads == 0 ? configured_jobs() : threads),
-      decorator_(std::move(decorator)) {
+ThreadPool::ThreadPool(unsigned threads)
+    : threads_(threads == 0 ? configured_jobs() : threads) {
   if (threads_ <= 1) {
     threads_ = 1;
     return;  // serial pool: submit() runs jobs inline
@@ -70,9 +69,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> job, std::string context) {
-  // Decorate on the submitting thread so the decorator can capture
-  // submitter thread-local state (trace session bindings) by value.
-  if (decorator_) job = decorator_(std::move(job));
   if (workers_.empty()) {
     job();  // serial path: run in submission order, exceptions propagate
     return;

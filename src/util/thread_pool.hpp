@@ -51,18 +51,9 @@ unsigned configured_jobs();
 
 class ThreadPool {
  public:
-  /// Wraps every job at submit() time, on the submitting thread. The hook
-  /// exists to carry submitter thread-local context onto the worker: pool
-  /// workers are plain threads, so anything bound thread-locally on the
-  /// submitter (an obs trace session, most importantly) is invisible to
-  /// them unless the decorator captures it and re-binds it inside the
-  /// returned job (see obs::bind_current_session).
-  using JobDecorator =
-      std::function<std::function<void()>(std::function<void()>)>;
-
   /// `threads == 0` uses configured_jobs(). A pool of size <= 1 runs jobs
   /// inline in submit() and never spawns a thread.
-  explicit ThreadPool(unsigned threads = 0, JobDecorator decorator = {});
+  explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -93,7 +84,6 @@ class ThreadPool {
   void worker_loop();
 
   unsigned threads_ = 1;
-  JobDecorator decorator_;
   std::vector<std::thread> workers_;
 
   mutable std::mutex mu_;

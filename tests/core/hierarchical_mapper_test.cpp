@@ -158,6 +158,7 @@ TEST(HierarchicalMapperTest, SmallInstancesMatchBlossomExactly) {
   MappingConfig config;
   config.strategy = "hierarchical";
   config.refine_passes = 0;
+  const auto blossom = make_mapping_strategy({});
   for (std::uint32_t n = 2; n <= 8; ++n) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       util::Xoshiro256 rng(seed * 101 + n);
@@ -170,7 +171,7 @@ TEST(HierarchicalMapperTest, SmallInstancesMatchBlossomExactly) {
       }
       const auto hier =
           hierarchical_mapping(m, topo, sim::Placement{}, config).placement;
-      const auto exact = compute_mapping(m, topo).placement;
+      const auto exact = blossom->map(m, topo).placement;
       EXPECT_EQ(hier, exact) << "n=" << n << " seed=" << seed;
     }
   }

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/mapper.hpp"
+#include "core/mapper_detail.hpp"
 #include "core/policy.hpp"
 #include "util/rng.hpp"
 
@@ -95,19 +96,26 @@ TEST(MappingStrategyTest, SpcdConfigValidateFoldsMappingKnobs) {
   EXPECT_NE(config.validate(), "");
 }
 
+// The legacy free functions were the grouping-tree driver run with the
+// matched (Blossom) or greedy merge rule; the strategies must stay exactly
+// that pipeline, current placement included.
+using detail::compute_with;
+using detail::merge_round_greedy;
+using detail::merge_round_matched;
+
 TEST(MappingStrategyTest, BlossomIsBitIdenticalToTheLegacyFunction) {
   const auto topo = xeon();
   const auto m = random_matrix(32, 7);
   const auto strategy = make_mapping_strategy({});
   const MappingResult via_api = strategy->map(m, topo);
-  const MappingResult legacy = compute_mapping(m, topo);
+  const MappingResult legacy = compute_with(m, topo, merge_round_matched, {});
   EXPECT_EQ(via_api.placement, legacy.placement);
   EXPECT_EQ(via_api.rounds, legacy.rounds);
 
   // And with a current placement (the placement-stable path).
   const auto current = random_placement(topo, 32, 3);
-  EXPECT_EQ(strategy->map(m, topo, current).placement,
-            compute_mapping(m, topo, current).placement);
+  const auto stable = compute_with(m, topo, merge_round_matched, current);
+  EXPECT_EQ(strategy->map(m, topo, current).placement, stable.placement);
 }
 
 TEST(MappingStrategyTest, GreedyIsBitIdenticalToTheLegacyFunction) {
@@ -116,8 +124,8 @@ TEST(MappingStrategyTest, GreedyIsBitIdenticalToTheLegacyFunction) {
   MappingConfig config;
   config.strategy = "greedy";
   const auto strategy = make_mapping_strategy(config);
-  EXPECT_EQ(strategy->map(m, topo).placement,
-            compute_mapping_greedy(m, topo).placement);
+  const MappingResult legacy = compute_with(m, topo, merge_round_greedy, {});
+  EXPECT_EQ(strategy->map(m, topo).placement, legacy.placement);
 }
 
 TEST(MappingStrategyTest, EveryStrategyProducesAnInjectivePlacement) {

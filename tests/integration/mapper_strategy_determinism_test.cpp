@@ -1,10 +1,10 @@
 // The determinism contract of the hierarchical strategy end to end: a full
 // simulated run that remaps through the multilevel mapper (small cutoff so
 // real coarsening happens even at 32 contexts) must produce identical
-// results for any SPCD_ENGINE_SHARDS x SPCD_JOBS combination. The engine
-// shards only pre-generate op streams, and the refinement scores gains
-// against a frozen placement before applying serially — so worker counts
-// must never leak into simulated time.
+// results for any SPCD_JOBS value. SPCD_JOBS sizes both the cell pool and
+// the refiner's pool, and the refinement scores gains against a frozen
+// placement before applying serially — so worker counts must never leak
+// into simulated time.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,13 +16,11 @@
 namespace spcd {
 namespace {
 
-std::vector<core::RunMetrics> run_hierarchical(const char* shards,
-                                               const char* jobs) {
-  ::setenv("SPCD_ENGINE_SHARDS", shards, 1);
+std::vector<core::RunMetrics> run_hierarchical(const char* jobs) {
   ::setenv("SPCD_JOBS", jobs, 1);
   core::RunnerConfig config;
   config.repetitions = 2;
-  config.engine.shards = 0;  // resolve through SPCD_ENGINE_SHARDS
+  config.jobs = 0;  // resolve through SPCD_JOBS
   config.spcd.mapping_interval = 200'000;
   config.spcd.min_matrix_total = 50;
   config.spcd.mapping.strategy = "hierarchical";
@@ -31,14 +29,13 @@ std::vector<core::RunMetrics> run_hierarchical(const char* shards,
   core::Runner runner(config);
   auto runs = runner.run_policy("cg", workloads::nas_factory("cg", 0.1),
                                 core::MappingPolicy::kSpcd);
-  ::unsetenv("SPCD_ENGINE_SHARDS");
   ::unsetenv("SPCD_JOBS");
   return runs;
 }
 
 TEST(MapperStrategyDeterminismTest, HierarchicalRunsAgreeAcrossWorkerCounts) {
-  const auto serial = run_hierarchical("1", "1");
-  const auto parallel = run_hierarchical("4", "4");
+  const auto serial = run_hierarchical("1");
+  const auto parallel = run_hierarchical("4");
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t rep = 0; rep < serial.size(); ++rep) {
     EXPECT_EQ(serial[rep].exec_seconds, parallel[rep].exec_seconds);
@@ -51,7 +48,7 @@ TEST(MapperStrategyDeterminismTest, HierarchicalRunsAgreeAcrossWorkerCounts) {
 }
 
 TEST(MapperStrategyDeterminismTest, HierarchicalActuallyRemaps) {
-  const auto runs = run_hierarchical("2", "2");
+  const auto runs = run_hierarchical("2");
   ASSERT_FALSE(runs.empty());
   std::uint64_t migrations = 0;
   for (const auto& m : runs) migrations += m.migration_events;

@@ -64,6 +64,31 @@ int run_replay_cli(const std::string& journal) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+TEST(ServiceReplayTest, ServeExitsOneWhenJournalCannotBeCreated) {
+  // A daemon that cannot create its journal must not start serving: every
+  // ack it gave would promise durability it cannot provide.
+  const std::string socket = tmp_path("service_replay_nojournal.sock");
+  std::remove(socket.c_str());
+  const pid_t daemon =
+      spawn_daemon(socket, tmp_path("no_such_dir/session.journal"));
+  ASSERT_GT(daemon, 0);
+  int status = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 500 && reaped == 0; ++i) {
+    reaped = ::waitpid(daemon, &status, WNOHANG);
+    if (reaped == 0) ::usleep(10'000);
+  }
+  if (reaped == 0) {
+    ::kill(daemon, SIGKILL);
+    ::waitpid(daemon, &status, 0);
+    FAIL() << "spcdd kept serving without a journal";
+  }
+  ASSERT_EQ(reaped, daemon);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  std::remove(socket.c_str());
+}
+
 TEST(ServiceReplayTest, SigkilledSessionReplaysByteIdentically) {
   const std::string socket = tmp_path("service_replay.sock");
   const std::string journal = tmp_path("service_replay.journal");

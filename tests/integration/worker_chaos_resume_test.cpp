@@ -1,9 +1,7 @@
-// Worker-level chaos composed with the parallel engine: a supervised sweep
-// whose workers crash or hang while every cell runs on a 4-shard engine
-// must recover — via retry or journal resume — to bytes identical to an
-// unperturbed single-shard sweep. The two layers are independent by design
-// (worker chaos wraps the repetition, shards live inside the engine); this
-// test pins the composition.
+// Worker-level chaos against journal resume: a supervised sweep whose
+// workers crash or hang must recover — via retry, or by clearing the chaos
+// and resuming from the journal once cells quarantine — to bytes identical
+// to an unperturbed sweep.
 #include "bench/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -31,10 +29,8 @@ bench::PipelineOptions small_grid(const std::string& journal_path,
 }
 
 std::string sweep_with_env(const std::string& journal_path, bool resume,
-                           const char* shards, const char* crash,
-                           const char* hang,
+                           const char* crash, const char* hang,
                            bench::PipelineOutcome* outcome_out = nullptr) {
-  ::setenv("SPCD_ENGINE_SHARDS", shards, 1);
   if (crash != nullptr) ::setenv("SPCD_CHAOS_WORKER_CRASH", crash, 1);
   if (hang != nullptr) {
     ::setenv("SPCD_CHAOS_WORKER_HANG", hang, 1);
@@ -45,7 +41,6 @@ std::string sweep_with_env(const std::string& journal_path, bool resume,
   ::setenv("SPCD_CELL_BACKOFF_MS", "1", 1);
   const bench::PipelineOutcome outcome =
       bench::run_pipeline_supervised(small_grid(journal_path, resume));
-  ::unsetenv("SPCD_ENGINE_SHARDS");
   ::unsetenv("SPCD_CHAOS_WORKER_CRASH");
   ::unsetenv("SPCD_CHAOS_WORKER_HANG");
   ::unsetenv("SPCD_CHAOS_WORKER_HANG_MS");
@@ -58,15 +53,14 @@ std::string sweep_with_env(const std::string& journal_path, bool resume,
 }
 
 std::string temp_journal(const char* tag) {
-  return testing::TempDir() + "worker_chaos_shards_" + tag + ".journal";
+  return testing::TempDir() + "worker_chaos_resume_" + tag + ".journal";
 }
 
-/// The unperturbed single-shard reference bytes, computed once.
+/// The unperturbed reference bytes, computed once.
 const std::string& reference_bytes() {
   static const std::string bytes = [] {
     const std::string path = temp_journal("reference");
-    const std::string b =
-        sweep_with_env(path, false, "1", nullptr, nullptr);
+    const std::string b = sweep_with_env(path, false, nullptr, nullptr);
     EXPECT_FALSE(b.empty());
     std::remove(path.c_str());
     return b;
@@ -74,20 +68,18 @@ const std::string& reference_bytes() {
   return bytes;
 }
 
-TEST(WorkerChaosShardsTest, CrashedWorkersOnShardedEngineRecoverIdentically) {
+TEST(WorkerChaosResumeTest, CrashedWorkersRecoverIdentically) {
   // Crashes retry under supervision; a successful attempt is bit-identical
-  // to an undisturbed run, and the 4-shard engine inside each cell must
-  // not change a byte of that.
+  // to an undisturbed run.
   const std::string path = temp_journal("crash");
   bench::PipelineOutcome outcome;
   const std::string bytes =
-      sweep_with_env(path, false, "4", "0.5", nullptr, &outcome);
+      sweep_with_env(path, false, "0.5", nullptr, &outcome);
   if (bytes.empty()) {
     // Past the retry budget some cells quarantined: clear the chaos and
-    // resume from the journal, still on 4 shards.
+    // resume from the journal.
     ASSERT_FALSE(outcome.supervision.quarantined.empty());
-    const std::string resumed =
-        sweep_with_env(path, true, "4", nullptr, nullptr);
+    const std::string resumed = sweep_with_env(path, true, nullptr, nullptr);
     EXPECT_EQ(resumed, reference_bytes());
   } else {
     EXPECT_GT(outcome.supervision.retried, 0u);
@@ -96,17 +88,16 @@ TEST(WorkerChaosShardsTest, CrashedWorkersOnShardedEngineRecoverIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(WorkerChaosShardsTest, HangingWorkersOnShardedEngineRecoverIdentically) {
-  // Hangs are cancelled by the cell watchdog and retried; the rerun on a
-  // 4-shard engine must land on the reference bytes too.
+TEST(WorkerChaosResumeTest, HangingWorkersRecoverIdentically) {
+  // Hangs are cancelled by the cell watchdog and retried; the rerun must
+  // land on the reference bytes too.
   const std::string path = temp_journal("hang");
   bench::PipelineOutcome outcome;
   const std::string bytes =
-      sweep_with_env(path, false, "4", nullptr, "0.5", &outcome);
+      sweep_with_env(path, false, nullptr, "0.5", &outcome);
   if (bytes.empty()) {
     ASSERT_FALSE(outcome.supervision.quarantined.empty());
-    const std::string resumed =
-        sweep_with_env(path, true, "4", nullptr, nullptr);
+    const std::string resumed = sweep_with_env(path, true, nullptr, nullptr);
     EXPECT_EQ(resumed, reference_bytes());
   } else {
     EXPECT_GT(outcome.supervision.watchdog_fires +

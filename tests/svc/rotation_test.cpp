@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <tuple>
@@ -93,6 +94,57 @@ TEST(SvcRotationTest, RecordThresholdRotatesAndReplaySpansGenerations) {
   EXPECT_EQ(replayed.service->generation(), live_gen);
   EXPECT_EQ(replayed.service->metrics_json(), live_metrics);
   EXPECT_EQ(replayed.service->decisions_text(), live_decisions);
+  remove_chain(path);
+}
+
+TEST(SvcRotationTest, FailedRenameKeepsAckedRecordsAndStopsAcks) {
+  // A non-empty directory squats on "<path>.g0", so the rotation cannot
+  // rename the live file. Reopening the live path would truncate the
+  // generation's acked records; instead the file must stay intact and the
+  // service must refuse every later commit.
+  const std::string path = tmp_journal("svc_rotation_rename.journal");
+  remove_chain(path);
+  const std::string squatter = path + ".g0";
+  std::filesystem::remove_all(squatter);
+  std::filesystem::create_directory(squatter);
+  std::ofstream(squatter + "/occupant") << "x";
+
+  ServiceConfig config = rotating_config(path);
+  config.arbitration_interval = 0;  // only batches and the rotate commit
+  DriverConfig driver;
+  driver.threads_per_tenant = 4;
+  std::uint64_t acked_batches = 0;
+  std::uint64_t acked_events = 0;
+  {
+    SpcdService service(config);
+    const RegisterResult reg = service.register_tenant("rename", 4);
+    ASSERT_TRUE(reg.ok) << reg.error;
+    bool refused = false;
+    for (std::uint32_t batch = 0; batch < 64 && !refused; ++batch) {
+      const IngestResult r =
+          service.ingest(reg.tenant_id, scripted_batch(driver, 0, batch));
+      if (r.ok) {
+        ++acked_batches;
+        acked_events += driver.events_per_batch;
+      } else {
+        refused = true;
+      }
+    }
+    ASSERT_TRUE(refused) << "the failed rotation never stopped acks";
+    EXPECT_FALSE(service.journal_ok());
+    EXPECT_EQ(service.generation(), 0u);
+    // The register plus the acked batches tripped the record threshold.
+    EXPECT_EQ(acked_batches + 1, config.journal_max_records);
+    EXPECT_EQ(service.total_events(), acked_events);
+  }
+
+  const SpcdService::ReplayResult replayed = SpcdService::replay(path);
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  EXPECT_FALSE(replayed.torn_tail);
+  EXPECT_EQ(replayed.service->total_events(), acked_events);
+  // register + acked batches + the rotate commit that closed the file.
+  EXPECT_EQ(replayed.records_applied, acked_batches + 2);
+  std::filesystem::remove_all(squatter);
   remove_chain(path);
 }
 

@@ -60,6 +60,24 @@ TEST(SvcServiceTest, RegisterRejectsInvalidRequestsWithoutJournaling) {
   EXPECT_EQ(service.journal_records(), 0u);
 }
 
+TEST(SvcServiceTest, UnopenableJournalAcksNothing) {
+  // A journal that was asked for but could not be created is a failed
+  // journal, not journal-less mode: nothing may be acked, because no ack
+  // could be backed by a durable record.
+  ServiceConfig config = small_config();
+  config.journal_path = tmp_journal("svc_no_such_dir/session.journal");
+  SpcdService service(config);
+  EXPECT_FALSE(service.journal_ok());
+  EXPECT_FALSE(service.register_tenant("alpha", 4).ok);
+  // The failed register still left its tenant id in memory; a batch for
+  // it must be refused with nothing applied.
+  const IngestResult r = service.ingest(1, pair_batch(64));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "journal write failed");
+  EXPECT_EQ(service.total_events(), 0u);
+  EXPECT_EQ(service.journal_records(), 0u);
+}
+
 TEST(SvcServiceTest, IngestDetectsIntraTenantCommunication) {
   SpcdService service(small_config());
   const std::uint32_t id = service.register_tenant("comm", 2).tenant_id;
