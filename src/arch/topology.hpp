@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/contracts.hpp"
+
 namespace spcd::arch {
 
 /// A hardware context (logical CPU) id. With SMT, a core hosts several.
@@ -50,10 +52,21 @@ class Topology {
     return num_cores() * spec_.smt_per_core;
   }
 
-  SocketId socket_of(ContextId ctx) const;
-  CoreId core_of(ContextId ctx) const;
+  // Every simulated access makes several of these lookups, so they read
+  // tables the constructor builds instead of dividing by a runtime value.
+  SocketId socket_of(ContextId ctx) const {
+    SPCD_EXPECTS(ctx < num_contexts());
+    return ctx_socket_[ctx];
+  }
+  CoreId core_of(ContextId ctx) const {
+    SPCD_EXPECTS(ctx < num_contexts());
+    return ctx_core_[ctx];
+  }
   std::uint32_t smt_slot_of(ContextId ctx) const;
-  SocketId socket_of_core(CoreId core) const;
+  SocketId socket_of_core(CoreId core) const {
+    SPCD_EXPECTS(core < num_cores());
+    return core_socket_[core];
+  }
 
   /// All contexts belonging to a core (SMT siblings), in slot order.
   std::vector<ContextId> contexts_of_core(CoreId core) const;
@@ -82,6 +95,9 @@ class Topology {
 
  private:
   TopologySpec spec_;
+  std::vector<CoreId> ctx_core_;       ///< context -> core
+  std::vector<SocketId> ctx_socket_;   ///< context -> socket
+  std::vector<SocketId> core_socket_;  ///< core -> socket
 };
 
 }  // namespace spcd::arch

@@ -9,6 +9,7 @@ Tlb::Tlb(const arch::TlbSpec& spec)
   SPCD_EXPECTS(spec.associativity >= 1);
   SPCD_EXPECTS(spec.entries % spec.associativity == 0);
   SPCD_EXPECTS(num_sets_ >= 1);
+  if ((num_sets_ & (num_sets_ - 1)) == 0) sets_mask_ = num_sets_ - 1;
   entries_.resize(num_sets_ * ways_);
 }
 

@@ -38,9 +38,16 @@ class Tlb {
     bool valid = false;
   };
 
-  std::size_t set_of(std::uint64_t vpn) const { return vpn % num_sets_; }
+  std::size_t set_of(std::uint64_t vpn) const {
+    // A mask when the set count is a power of two (every real geometry),
+    // as in sim::Cache::set_index: every access probes, and a mask is far
+    // cheaper than a 64-bit divide.
+    return static_cast<std::size_t>(sets_mask_ != 0 ? vpn & sets_mask_
+                                                    : vpn % num_sets_);
+  }
 
   std::size_t num_sets_;
+  std::uint64_t sets_mask_ = 0;  // num_sets_-1 if power of two, else 0
   std::size_t ways_;
   std::vector<Entry> entries_;  // num_sets_ x ways_, row-major
   std::uint64_t tick_ = 0;

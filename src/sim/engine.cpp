@@ -34,9 +34,48 @@ Engine::Engine(Machine& machine, mem::AddressSpace& address_space,
     ++core_active_[machine_.topology().core_of(ctx)];
     threads_[tid].program = workload.make_thread(tid, /*seed=*/tid);
     SPCD_EXPECTS(threads_[tid].program != nullptr);
-    heap_.push(HeapEntry{0, tid});
+    heap_push(HeapEntry{0, tid});
   }
   active_threads_ = n;
+}
+
+void Engine::heap_push(HeapEntry entry) {
+  std::size_t i = heap_.size();
+  heap_.push_back(entry);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(entry < heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = entry;
+}
+
+void Engine::heap_sift_down(std::size_t i) {
+  const HeapEntry entry = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < entry)) break;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = entry;
+}
+
+void Engine::heap_pop_root() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) heap_sift_down(0);
+}
+
+util::Cycles Engine::heap_next_time() const {
+  const std::size_t n = heap_.size();
+  if (n < 2) return ~0ULL;
+  if (n == 2) return heap_[1].time;
+  return std::min(heap_[1].time, heap_[2].time);
 }
 
 void Engine::schedule(util::Cycles when, std::function<void(Engine&)> fn) {
@@ -146,7 +185,7 @@ void Engine::maybe_release_barrier() {
     c.barrier_wait_cycles += release - barrier_arrival_[tid];
     t.time = release;
     t.state = ThreadState::kRunnable;
-    heap_.push(HeapEntry{t.time, tid});
+    heap_push(HeapEntry{t.time, tid});
   }
   barrier_waiting_ = 0;
 }
@@ -208,7 +247,7 @@ void Engine::charge_mapping(util::Cycles cycles, ThreadId victim_tid) {
 void Engine::run() {
   while (!heap_.empty()) {
     // Kernel events due before the next thread step run first.
-    if (!events_.empty() && events_.top().time <= heap_.top().time) {
+    if (!events_.empty() && events_.top().time <= heap_.front().time) {
       // The queue is not stable under in-callback scheduling; copy out.
       Event ev = events_.top();
       events_.pop();
@@ -217,19 +256,23 @@ void Engine::run() {
       continue;
     }
 
-    const HeapEntry entry = heap_.top();
-    heap_.pop();
-    const ThreadId tid = entry.tid;
+    // The earliest thread runs from the root; the root's key is refreshed
+    // and sifted down when it yields, so a step that keeps running costs
+    // no heap operation at all. It leaves the heap only at a barrier or
+    // its finish, before either can push released threads.
+    const ThreadId tid = heap_.front().tid;
     Thread& t = threads_[tid];
     SPCD_ASSERT(t.state == ThreadState::kRunnable);
     now_ = std::max(now_, t.time);
+    const util::Cycles heap_limit = heap_next_time();
 
     if (t.pending_charge != 0) {
       t.time += t.pending_charge;
       t.pending_charge = 0;
       // Re-sort if the thread is no longer the minimum.
-      if (!heap_.empty() && t.time > heap_.top().time) {
-        heap_.push(HeapEntry{t.time, tid});
+      if (t.time > heap_limit) {
+        heap_.front().time = t.time;
+        heap_sift_down(0);
         continue;
       }
     }
@@ -242,8 +285,6 @@ void Engine::run() {
 
     // Execute ops while this thread remains the globally earliest and no
     // kernel event is due, bounded to keep event latency low.
-    const util::Cycles heap_limit =
-        heap_.empty() ? ~0ULL : heap_.top().time;
     const util::Cycles event_limit =
         events_.empty() ? ~0ULL : events_.top().time;
     const util::Cycles limit = std::min(heap_limit, event_limit);
@@ -251,20 +292,20 @@ void Engine::run() {
     for (int batch = 0; batch < 64; ++batch) {
       const Op op = t.program->next();
       if (op.kind == OpKind::kBarrier) {
+        heap_pop_root();
         arrive_at_barrier(tid);
         break;
       }
       if (op.kind == OpKind::kFinish) {
+        heap_pop_root();
         finish_thread(tid);
         break;
       }
       execute_op(tid, op);
-      if (t.time > limit || t.pending_charge != 0) {
-        heap_.push(HeapEntry{t.time, tid});
+      if (t.time > limit || t.pending_charge != 0 || batch == 63) {
+        heap_.front().time = t.time;
+        heap_sift_down(0);
         break;
-      }
-      if (batch == 63) {
-        heap_.push(HeapEntry{t.time, tid});
       }
     }
   }

@@ -1,8 +1,9 @@
 // Execution engine: interleaves the workload's threads over the machine's
 // hardware contexts, advancing per-thread cycle clocks by the latency of
 // each operation. Threads are executed in smallest-local-time order
-// (min-heap), which yields realistic interleavings for the coherence model
-// without a global lock-step.
+// (min-heap on (time, tid)), which yields realistic interleavings for the
+// coherence model without a global lock-step. The running thread stays at
+// the heap's root while it runs and goes back with one sift-down.
 //
 // The engine also hosts "kernel" activity on the same clock:
 //   * scheduled events (the SPCD injector's periodic wake-ups, the mapping
@@ -124,8 +125,8 @@ class Engine {
   struct HeapEntry {
     util::Cycles time;
     ThreadId tid;
-    bool operator>(const HeapEntry& o) const {
-      return time != o.time ? time > o.time : tid > o.tid;
+    bool operator<(const HeapEntry& o) const {
+      return time != o.time ? time < o.time : tid < o.tid;
     }
   };
 
@@ -141,6 +142,14 @@ class Engine {
   };
 
   void execute_op(ThreadId tid, const Op& op);
+  // Runnable-thread min-heap on (time, tid). A strict total order, so the
+  // pop sequence is the same for any correct heap.
+  void heap_push(HeapEntry entry);
+  void heap_sift_down(std::size_t i);
+  void heap_pop_root();
+  /// Smallest time among the root's children: how far the root's thread
+  /// may run before another thread is due (~0 if it is alone).
+  util::Cycles heap_next_time() const;
   void arrive_at_barrier(ThreadId tid);
   void finish_thread(ThreadId tid);
   void maybe_release_barrier();
@@ -154,9 +163,7 @@ class Engine {
   std::vector<std::uint32_t> core_active_; // running threads per core
 
   std::vector<Thread> threads_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap_;
+  std::vector<HeapEntry> heap_;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
   std::uint64_t event_seq_ = 0;
 

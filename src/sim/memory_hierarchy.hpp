@@ -79,8 +79,6 @@ class MemoryHierarchy {
   /// private caches (inclusive L3).
   void evict_from_l3(arch::SocketId socket, std::uint64_t victim);
 
-  void erase_if_untracked(std::uint64_t line);
-
   /// Serial-server queue: request at `now`, service takes `occupancy`.
   /// Returns the queueing delay and advances the server.
   static std::uint64_t queue_delay(std::uint64_t& free_at, std::uint64_t now,

@@ -109,19 +109,21 @@ RegisterResult SpcdService::re_register(std::uint32_t tenant_id,
     result.error = "unknown or departed tenant";
     return result;
   }
+  // The tenant moves onto the next fresh tid block; journal that before
+  // changing anything.
+  if (!journal_append_locked(encode_reregister_record(
+          tenant_id, new_threads, registry_.tid_space()))) {
+    result.error = kJournalFailed;
+    return result;
+  }
   // A suspect that re-registers is clearly alive again; the transition
   // is implied by the rereg record (replay's re_register does the same).
   if (t->state == TenantState::kSuspect) {
-    registry_.mark_active(tenant_id);
+    registry_.mark(tenant_id, TenantState::kActive);
     ++lifecycle_.reactivations;
   }
   registry_.re_register(tenant_id, new_threads);
   ++lifecycle_.reregisters;
-  if (!journal_append_locked(
-          encode_reregister_record(tenant_id, new_threads, t->base_tid))) {
-    result.error = kJournalFailed;
-    return result;
-  }
   if (trace_ != nullptr) {
     obs::ScopedSession bind(trace_);
     obs::trace_instant("svc", "reregister", total_events_,
@@ -187,11 +189,9 @@ IngestResult SpcdService::ingest(std::uint32_t tenant_id,
   // The batch record implies the tenant is alive: registered tenants
   // activate on their first batch, suspects reactivate. Replay applies
   // the identical transitions from the batch record alone.
-  if (tenant->state == TenantState::kSuspect) {
-    registry_.mark_active(tenant_id);
-    ++lifecycle_.reactivations;
-  } else if (tenant->state == TenantState::kRegistered) {
-    registry_.mark_active(tenant_id);
+  if (tenant->state != TenantState::kActive) {
+    if (tenant->state == TenantState::kSuspect) ++lifecycle_.reactivations;
+    registry_.mark(tenant_id, TenantState::kActive);
   }
 
   std::uint64_t comm = 0;
@@ -240,8 +240,10 @@ IngestResult SpcdService::ingest(std::uint32_t tenant_id,
 
 bool SpcdService::tenant_exit(std::uint32_t tenant_id) {
   std::lock_guard<std::mutex> lock(commit_mu_);
-  if (!registry_.mark_exited(tenant_id)) return false;
-  journal_append_locked(encode_exit(tenant_id));
+  if (!commit_lifecycle_locked(tenant_id, TenantState::kExited,
+                               encode_exit(tenant_id))) {
+    return false;
+  }
   if (trace_ != nullptr) {
     obs::ScopedSession bind(trace_);
     obs::trace_instant("svc", "exit", total_events_, {"tenant", tenant_id});
@@ -270,9 +272,23 @@ bool SpcdService::heartbeat_seen(std::uint32_t tenant_id,
   return true;
 }
 
+bool SpcdService::commit_lifecycle_locked(std::uint32_t tenant_id,
+                                          TenantState to,
+                                          const std::string& record) {
+  // Legal, then journaled, then applied: a transition the journal refused
+  // leaves the registry as a replay of the journal rebuilds it.
+  if (!registry_.can_mark(tenant_id, to) || !journal_append_locked(record)) {
+    return false;
+  }
+  registry_.mark(tenant_id, to);
+  return true;
+}
+
 bool SpcdService::force_active_locked(std::uint32_t tenant_id) {
-  if (!registry_.mark_active(tenant_id)) return false;
-  journal_append_locked(encode_active(tenant_id));
+  if (!commit_lifecycle_locked(tenant_id, TenantState::kActive,
+                               encode_active(tenant_id))) {
+    return false;
+  }
   ++lifecycle_.reactivations;
   return true;
 }
@@ -294,8 +310,10 @@ SpcdService::LivenessReport SpcdService::check_liveness(
     if (t->last_seen_ms == 0 || now_ms <= t->last_seen_ms) continue;
     const std::uint64_t silent = now_ms - t->last_seen_ms;
     if (t->state != TenantState::kSuspect && silent > suspect_after) {
-      registry_.mark_suspect(id);
-      journal_append_locked(encode_suspect(id));
+      if (!commit_lifecycle_locked(id, TenantState::kSuspect,
+                                   encode_suspect(id))) {
+        continue;
+      }
       ++lifecycle_.suspects;
       ++report.suspected;
       if (trace_ != nullptr) {
@@ -303,8 +321,10 @@ SpcdService::LivenessReport SpcdService::check_liveness(
         obs::trace_instant("svc", "suspect", total_events_, {"tenant", id});
       }
     } else if (t->state == TenantState::kSuspect && silent > reap_after) {
-      registry_.mark_reaped(id);
-      journal_append_locked(encode_reap(id));
+      if (!commit_lifecycle_locked(id, TenantState::kReaped,
+                                   encode_reap(id))) {
+        continue;
+      }
       ++lifecycle_.reaps;
       ++report.reaped;
       reaped_any = true;
@@ -344,15 +364,23 @@ void SpcdService::dedup_store(std::uint32_t tenant_id,
 }
 
 ArbiterDecision SpcdService::arbitrate_locked() {
+  // No decision without its `arb` record. A journal failure is sticky, so
+  // once one append failed, ok() refuses before the arbiter moves; the
+  // journal-less configuration pays one empty() test. (An append that
+  // fails right here leaves the arbiter one decision ahead, but no later
+  // decision or commit can follow it.)
+  if (!config_.journal_path.empty() && !journal_.ok()) return {};
   const ArbiterDecision decision =
       arbiter_.decide(registry_.participating(), total_events_);
+  if (!journal_append_locked(encode_decision(
+          decision.seq, decision.event_time, decision.digest))) {
+    return {};
+  }
   ++counters_.arbitrations;
   counters_.contexts_stolen += decision.contexts_stolen;
   counters_.cross_tenant_core_shares += decision.cross_tenant_cores;
   counters_.tenant_socket_splits += decision.tenants_split;
   counters_.thread_migrations += decision.moved;
-  journal_append_locked(
-      encode_decision(decision.seq, decision.event_time, decision.digest));
   decisions_.push_back(decision);
   if (trace_ != nullptr) {
     obs::ScopedSession bind(trace_);
@@ -618,11 +646,11 @@ bool SpcdService::apply_record(const SessionRecord& rec, bool restoring,
     }
     case Kind::kSuspect: {
       std::lock_guard<std::mutex> lock(commit_mu_);
-      if (!registry_.mark_suspect(rec.tenant_id)) {
+      if (!commit_lifecycle_locked(rec.tenant_id, TenantState::kSuspect,
+                                   encode_suspect(rec.tenant_id))) {
         result->error = "suspect replay diverged";
         return false;
       }
-      journal_append_locked(encode_suspect(rec.tenant_id));
       ++lifecycle_.suspects;
       return true;
     }
@@ -638,11 +666,11 @@ bool SpcdService::apply_record(const SessionRecord& rec, bool restoring,
     }
     case Kind::kReap: {
       std::lock_guard<std::mutex> lock(commit_mu_);
-      if (!registry_.mark_reaped(rec.tenant_id)) {
+      if (!commit_lifecycle_locked(rec.tenant_id, TenantState::kReaped,
+                                   encode_reap(rec.tenant_id))) {
         result->error = "reap replay diverged";
         return false;
       }
-      journal_append_locked(encode_reap(rec.tenant_id));
       ++lifecycle_.reaps;
       return true;
     }

@@ -94,11 +94,13 @@ class SpcdService {
   IngestResult ingest(std::uint32_t tenant_id,
                       const std::vector<FaultRecord>& events);
 
-  /// Mark a tenant exited (journaled). False if unknown or already out.
+  /// Mark a tenant exited (journaled). False if unknown, already out, or
+  /// the journal refused the record (the tenant then stays in).
   bool tenant_exit(std::uint32_t tenant_id);
 
   /// Force a decision now (spcdd issues one final decision on drain so a
-  /// session always ends with a placement for its survivors).
+  /// session always ends with a placement for its survivors). A decision
+  /// the journal refused is not made: the result then has seq 0.
   ArbiterDecision arbitrate_now();
 
   // --- liveness (wall clock in, journaled transitions out) ---
@@ -197,13 +199,18 @@ class SpcdService {
   static ReplayResult replay(const std::string& journal_path);
 
  private:
-  /// Arbitrate under commit_mu_ (already held) and journal the decision.
+  /// Arbitrate under commit_mu_ (already held) and journal the decision;
+  /// seq 0 and no state change when the journal refuses it.
   ArbiterDecision arbitrate_locked();
   bool journal_append_locked(const std::string& record);
   /// Append without bumping commit_seq_ (snapshot records are state
   /// descriptions, not commits).
   void journal_raw_append_locked(const std::string& record);
   bool force_active_locked(std::uint32_t tenant_id);
+  /// Check that `tenant_id` may move to `to`, journal `record`, and only
+  /// then make the move. False, with nothing changed, if either refuses.
+  bool commit_lifecycle_locked(std::uint32_t tenant_id, TenantState to,
+                               const std::string& record);
   /// Rotate the live journal when a size/record threshold tripped:
   /// journal a `rotate` commit (the detection table resets at that exact
   /// point), rename the file to "<path>.g<gen>", open generation gen+1,

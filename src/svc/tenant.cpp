@@ -73,37 +73,31 @@ bool TenantRegistry::re_register(std::uint32_t id,
   return true;
 }
 
-bool TenantRegistry::mark_active(std::uint32_t id) {
-  Tenant* t = find(id);
-  if (t == nullptr || (t->state != TenantState::kRegistered &&
-                       t->state != TenantState::kSuspect)) {
-    return false;
+bool TenantRegistry::can_mark(std::uint32_t id, TenantState to) const {
+  const Tenant* t = find(id);
+  if (t == nullptr) return false;
+  switch (to) {
+    case TenantState::kActive:
+      return t->state == TenantState::kRegistered ||
+             t->state == TenantState::kSuspect;
+    case TenantState::kSuspect:
+      return t->state == TenantState::kRegistered ||
+             t->state == TenantState::kActive;
+    case TenantState::kReaped: return t->state == TenantState::kSuspect;
+    case TenantState::kExited: return tenant_participates(t->state);
+    case TenantState::kRegistered: return false;
   }
-  t->state = TenantState::kActive;
-  return true;
+  return false;
 }
 
-bool TenantRegistry::mark_suspect(std::uint32_t id) {
+bool TenantRegistry::mark(std::uint32_t id, TenantState to) {
+  if (!can_mark(id, to)) return false;
   Tenant* t = find(id);
-  if (t == nullptr || (t->state != TenantState::kRegistered &&
-                       t->state != TenantState::kActive)) {
-    return false;
+  if (tenant_participates(to)) {
+    t->state = to;
+  } else {
+    depart(t, to);
   }
-  t->state = TenantState::kSuspect;
-  return true;
-}
-
-bool TenantRegistry::mark_reaped(std::uint32_t id) {
-  Tenant* t = find(id);
-  if (t == nullptr || t->state != TenantState::kSuspect) return false;
-  depart(t, TenantState::kReaped);
-  return true;
-}
-
-bool TenantRegistry::mark_exited(std::uint32_t id) {
-  Tenant* t = find(id);
-  if (t == nullptr || !tenant_participates(t->state)) return false;
-  depart(t, TenantState::kExited);
   return true;
 }
 

@@ -100,13 +100,12 @@ class TenantRegistry {
   /// rows' weights. False if unknown or not participating.
   bool re_register(std::uint32_t id, std::uint32_t new_threads);
 
-  /// kActive/kSuspect transitions; each returns false when the tenant is
-  /// unknown or the transition is not legal from its current state.
-  bool mark_active(std::uint32_t id);    ///< registered/suspect -> active
-  bool mark_suspect(std::uint32_t id);   ///< registered/active -> suspect
-  bool mark_reaped(std::uint32_t id);    ///< suspect -> reaped
-  /// Mark a tenant exited; false if unknown or already departed.
-  bool mark_exited(std::uint32_t id);
+  /// True if tenant `id` exists and may move to `to` from its current
+  /// state: registered/suspect -> active, registered/active -> suspect,
+  /// suspect -> reaped, any participating state -> exited.
+  bool can_mark(std::uint32_t id, TenantState to) const;
+  /// Make that transition; false (and no change) when can_mark is false.
+  bool mark(std::uint32_t id, TenantState to);
 
   /// Participating tenants in id order (the arbiter's deterministic
   /// input): registered, active, and suspect.

@@ -22,22 +22,22 @@ class AllToAllProgram final : public BlockProgram {
 
  protected:
   bool fill(std::vector<sim::Op>& out) override {
+    if (iter_ > params_.iterations) return false;
     if (iter_ == 0) {
       // Touch every line: initialization loads/stores the whole array, so
       // compulsory misses are front-loaded like in the real codes (and the
       // frames land on this thread's NUMA node, first-touch).
-      for (std::uint64_t off = 0; off < params_.chunk_bytes; off += 64) {
-        out.push_back(sim::Op::access(own_base_ + off, true,
+      const std::uint64_t lines = (params_.chunk_bytes + 63) / 64;
+      for (; step_ < lines && room(out); ++step_) {
+        out.push_back(sim::Op::access(own_base_ + step_ * 64, true,
                                       params_.insns_per_ref, 12));
       }
-      out.push_back(sim::Op::barrier());
-      ++iter_;
+      end_iteration(out, lines);
       return true;
     }
-    if (iter_ > params_.iterations) return false;
-    local_.drift(iter_);
+    if (step_ == 0) local_.drift(iter_);
 
-    for (std::uint32_t r = 0; r < params_.refs_per_iter; ++r) {
+    for (; step_ < params_.refs_per_iter && room(out); ++step_) {
       std::uint64_t addr;
       bool write;
       if (rng_.uniform() < params_.remote_frac) {
@@ -53,8 +53,7 @@ class AllToAllProgram final : public BlockProgram {
       out.push_back(sim::Op::access(addr, write, params_.insns_per_ref,
                                     params_.compute_cycles));
     }
-    out.push_back(sim::Op::barrier());
-    ++iter_;
+    end_iteration(out, params_.refs_per_iter);
     return true;
   }
 
@@ -65,7 +64,6 @@ class AllToAllProgram final : public BlockProgram {
   util::Xoshiro256 rng_;
   std::uint64_t own_base_;
   LocalityCursor local_;
-  std::uint32_t iter_ = 0;
 };
 
 }  // namespace

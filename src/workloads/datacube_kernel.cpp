@@ -33,16 +33,16 @@ class DataCubeProgram final : public BlockProgram {
       // Parallel first touch of this thread's slice of the cube.
       const std::uint64_t slice = params_.cube_bytes / params_.threads;
       const std::uint64_t base = kSharedBase + tid_ * slice;
-      for (std::uint64_t off = 0; off < slice; off += 4096) {
-        out.push_back(
-            sim::Op::access(base + off, true, params_.insns_per_ref, 40));
+      const std::uint64_t pages = (slice + 4095) / 4096;
+      for (; step_ < pages && room(out); ++step_) {
+        out.push_back(sim::Op::access(base + step_ * 4096, true,
+                                      params_.insns_per_ref, 40));
       }
-      out.push_back(sim::Op::barrier());
-      ++iter_;
+      end_iteration(out, pages);
       return true;
     }
-    hot_cursor_->drift(iter_);
-    for (std::uint32_t r = 0; r < params_.refs_per_iter; ++r) {
+    if (step_ == 0) hot_cursor_->drift(iter_);
+    for (; step_ < params_.refs_per_iter && room(out); ++step_) {
       const double u = rng_.uniform();
       std::uint64_t addr;
       bool write;
@@ -59,8 +59,7 @@ class DataCubeProgram final : public BlockProgram {
       out.push_back(sim::Op::access(addr, write, params_.insns_per_ref,
                                     params_.compute_cycles));
     }
-    out.push_back(sim::Op::barrier());
-    ++iter_;
+    end_iteration(out, params_.refs_per_iter);
     return true;
   }
 
@@ -71,7 +70,6 @@ class DataCubeProgram final : public BlockProgram {
   std::uint64_t hot_base_ = 0;
   std::uint64_t hot_size_ = 0;
   std::optional<LocalityCursor> hot_cursor_;
-  std::uint32_t iter_ = 0;
 };
 
 }  // namespace

@@ -25,15 +25,12 @@ class DomainProgram final : public BlockProgram {
 
  protected:
   bool fill(std::vector<sim::Op>& out) override {
+    if (iter_ > params_.iterations) return false;
     if (iter_ == 0) {
       emit_init(out);
-      ++iter_;
-      return true;
+    } else {
+      emit_iteration(out);
     }
-    if (iter_ > params_.iterations) return false;
-    interior_.drift(iter_);
-    emit_iteration(out);
-    ++iter_;
     return true;
   }
 
@@ -45,11 +42,12 @@ class DomainProgram final : public BlockProgram {
     // Touch every line: initialization writes the whole array, so
     // compulsory misses are front-loaded like in the real codes (and the
     // frames land on this thread's NUMA node, first-touch).
-    for (std::uint64_t off = 0; off < params_.chunk_bytes; off += 64) {
-      out.push_back(sim::Op::access(own_base_ + off, /*write=*/true,
+    const std::uint64_t lines = (params_.chunk_bytes + 63) / 64;
+    for (; step_ < lines && room(out); ++step_) {
+      out.push_back(sim::Op::access(own_base_ + step_ * 64, /*write=*/true,
                                     params_.insns_per_ref, 12));
     }
-    out.push_back(sim::Op::barrier());
+    end_iteration(out, lines);
   }
 
   std::uint32_t pick_partner() {
@@ -70,7 +68,8 @@ class DomainProgram final : public BlockProgram {
   }
 
   void emit_iteration(std::vector<sim::Op>& out) {
-    for (std::uint32_t r = 0; r < params_.refs_per_iter; ++r) {
+    if (step_ == 0) interior_.drift(iter_);
+    for (; step_ < params_.refs_per_iter && room(out); ++step_) {
       std::uint64_t addr;
       bool write;
       if (rng_.uniform() < params_.halo_frac) {
@@ -92,7 +91,7 @@ class DomainProgram final : public BlockProgram {
       out.push_back(sim::Op::access(addr, write, params_.insns_per_ref,
                                     params_.compute_cycles));
     }
-    out.push_back(sim::Op::barrier());
+    end_iteration(out, params_.refs_per_iter);
   }
 
   const DomainKernel& kernel_;
@@ -102,7 +101,6 @@ class DomainProgram final : public BlockProgram {
   util::Xoshiro256 rng_;
   std::uint64_t own_base_;
   LocalityCursor interior_;
-  std::uint32_t iter_ = 0;
 };
 
 }  // namespace

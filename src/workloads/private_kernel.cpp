@@ -22,16 +22,16 @@ class PrivateProgram final : public BlockProgram {
   bool fill(std::vector<sim::Op>& out) override {
     if (iter_ > params_.iterations) return false;
     if (iter_ == 0) {
-      for (std::uint64_t off = 0; off < params_.private_bytes; off += 4096) {
-        out.push_back(sim::Op::access(own_base_ + off, true,
+      const std::uint64_t pages = (params_.private_bytes + 4095) / 4096;
+      for (; step_ < pages && room(out); ++step_) {
+        out.push_back(sim::Op::access(own_base_ + step_ * 4096, true,
                                       params_.insns_per_ref, 40));
       }
-      out.push_back(sim::Op::barrier());
-      ++iter_;
+      end_iteration(out, pages);
       return true;
     }
-    local_.drift(iter_);
-    for (std::uint32_t r = 0; r < params_.refs_per_iter; ++r) {
+    if (step_ == 0) local_.drift(iter_);
+    for (; step_ < params_.refs_per_iter && room(out); ++step_) {
       std::uint64_t addr;
       bool write;
       if (rng_.uniform() < params_.shared_frac) {
@@ -44,8 +44,7 @@ class PrivateProgram final : public BlockProgram {
       out.push_back(sim::Op::access(addr, write, params_.insns_per_ref,
                                     params_.compute_cycles));
     }
-    out.push_back(sim::Op::barrier());
-    ++iter_;
+    end_iteration(out, params_.refs_per_iter);
     return true;
   }
 
@@ -54,7 +53,6 @@ class PrivateProgram final : public BlockProgram {
   util::Xoshiro256 rng_;
   std::uint64_t own_base_;
   LocalityCursor local_;
-  std::uint32_t iter_ = 0;
 };
 
 }  // namespace

@@ -29,7 +29,7 @@ class ProdConsProgram final : public BlockProgram {
     const bool is_producer = tid_ < partner;
     const std::uint64_t buffer = workload_.buffer_base(tid_, phase);
 
-    for (std::uint32_t r = 0; r < params_.refs_per_iter; ++r) {
+    for (; step_ < params_.refs_per_iter && room(out); ++step_) {
       const std::uint64_t addr = buffer + rng_.below(params_.buffer_bytes);
       // The producer mostly writes the shared vector; the consumer mostly
       // reads it. Both touch the same pages, which is what SPCD detects.
@@ -40,8 +40,7 @@ class ProdConsProgram final : public BlockProgram {
       out.push_back(sim::Op::access(addr, write, params_.insns_per_ref,
                                     params_.compute_cycles));
     }
-    out.push_back(sim::Op::barrier());
-    ++iter_;
+    end_iteration(out, params_.refs_per_iter);
     return true;
   }
 
@@ -50,7 +49,6 @@ class ProdConsProgram final : public BlockProgram {
   const ProdConsParams& params_;
   std::uint32_t tid_;
   util::Xoshiro256 rng_;
-  std::uint32_t iter_ = 0;
 };
 
 }  // namespace

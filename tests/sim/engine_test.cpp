@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "sim/workload.hpp"
@@ -303,6 +304,78 @@ TEST_F(EngineTest, PlacementAffectsSharingLatency) {
     far_time = e.finish_time();
   }
   EXPECT_LT(near_time, far_time);
+}
+
+/// One executed access as the access hook sees it: which thread ran it and
+/// at what thread clock.
+struct Step {
+  ThreadId tid;
+  util::Cycles time;
+  bool operator==(const Step&) const = default;
+};
+
+/// Release cycle of the first barrier in scheduling_sequence().
+constexpr util::Cycles kFirstRelease = 4170;
+
+/// The sequence scheduling_sequence() produced when it was written.
+const std::vector<Step> kPinnedOrder = {
+    {0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}, {6, 0}, {7, 0}, {0, 4170},
+    {1, 4170}, {3, 4170}, {4, 4170}, {5, 4170}, {6, 4170}, {7, 4170},
+    {2, 4177}, {0, 4199}, {1, 4199}, {3, 4199}, {4, 4199}, {5, 4199},
+    {6, 4199}, {7, 4199}, {2, 4206}, {0, 4228}, {1, 4228}, {3, 4228},
+    {4, 4228}, {5, 4228}, {6, 4228}, {7, 4228}, {2, 4235}, {0, 4257},
+    {1, 4257}, {3, 4257}, {4, 4257}, {5, 4257}, {6, 4257}, {7, 4257},
+    {2, 4264}, {0, 4286}, {1, 4286}, {3, 4286}, {4, 4286}, {5, 4286},
+    {6, 4286}, {7, 4286}, {2, 4293}, {0, 4315}, {1, 4315}, {3, 4315},
+    {4, 4315}, {5, 4315}, {6, 4315}, {7, 4315}, {2, 4322}, {0, 4651},
+    {1, 4651}, {2, 4651}, {3, 4651}, {4, 4651}, {5, 4651}, {6, 4651},
+    {7, 4651}, {7, 4680}, {0, 4680}, {1, 4680}, {2, 4680}, {3, 4680},
+    {4, 4680}, {5, 4680}, {6, 4680}, {6, 4709}, {0, 4709}, {1, 4709},
+    {2, 4709}, {3, 4709}, {4, 4709}, {5, 4709}, {7, 4709}, {7, 4738},
+    {0, 4738}, {1, 4738}, {2, 4738}, {3, 4738}, {4, 4738}, {5, 4738},
+    {6, 4738},
+};
+
+/// Eight threads on the eight contexts of the tiny machine, every op an
+/// access so the access hook sees each one: a first touch of a private
+/// page, a barrier, six L1 hits, a barrier, four more hits. After each
+/// barrier release every thread has the same clock and the same op cost,
+/// so who runs next is decided by the tid tie-break alone. Two kernel
+/// events perturb it: a charge_thread at cycle 2000 (the thread sits on a
+/// pending charge until it is next picked) and a charge due at exactly
+/// the first barrier's release cycle (events run before threads at equal
+/// time).
+std::vector<Step> scheduling_sequence() {
+  std::vector<std::vector<Op>> scripts(8);
+  for (std::uint32_t t = 0; t < 8; ++t) {
+    const std::uint64_t line = 0x10000 + std::uint64_t{t} * 0x1000;
+    auto& s = scripts[t];
+    s.push_back(Op::access(line, true, 1, 20));
+    s.push_back(Op::barrier());
+    for (int i = 0; i < 6; ++i) s.push_back(Op::access(line, false, 1, 20));
+    s.push_back(Op::barrier());
+    for (int i = 0; i < 4; ++i) s.push_back(Op::access(line, false, 1, 20));
+  }
+  ScriptedWorkload wl(std::move(scripts));
+  Machine machine(arch::tiny_test_machine());
+  auto as = machine.make_address_space();
+  Engine engine(machine, as, wl, {0, 1, 2, 3, 4, 5, 6, 7});
+  std::vector<Step> seen;
+  engine.set_access_hook(
+      [&](ThreadId tid, std::uint64_t, bool, util::Cycles time) {
+        seen.push_back({tid, time});
+      });
+  engine.schedule(2000, [](Engine& e) { e.charge_thread(5, 1000); });
+  engine.schedule(kFirstRelease, [](Engine& e) { e.charge_thread(2, 7); });
+  engine.run();
+  return seen;
+}
+
+TEST_F(EngineTest, SchedulingOrderIsPinned) {
+  const std::vector<Step> seen = scheduling_sequence();
+  std::ostringstream dump;
+  for (const Step& s : seen) dump << "{" << s.tid << ", " << s.time << "}, ";
+  EXPECT_EQ(seen, kPinnedOrder) << dump.str();
 }
 
 TEST_F(EngineTest, DeathOnNonInjectivePlacement) {

@@ -141,7 +141,7 @@ TEST(SvcArbiterTest, ExitedTenantFreesItsSlots) {
   PlacementArbiter arbiter(topo);
   const ArbiterDecision crowded = arbiter.decide(reg.participating(), 1);
   EXPECT_GT(crowded.contexts_stolen, 0u);
-  for (std::uint32_t id = 5; id <= 8; ++id) reg.mark_exited(id);
+  for (std::uint32_t id = 5; id <= 8; ++id) reg.mark(id, TenantState::kExited);
   const ArbiterDecision relaxed = arbiter.decide(reg.participating(), 2);
   ASSERT_EQ(relaxed.placements.size(), 4u);  // 32 threads on 32 contexts
   EXPECT_EQ(relaxed.contexts_stolen, 0u);

@@ -148,6 +148,56 @@ TEST(SvcRotationTest, FailedRenameKeepsAckedRecordsAndStopsAcks) {
   remove_chain(path);
 }
 
+TEST(SvcRotationTest, FailedJournalRefusesLifecycleCommits) {
+  // The failed-rename setup above leaves the journal closed. Lifecycle
+  // commits made after that must be refused like a batch is: their
+  // records cannot be journaled, so nothing may change, or the live
+  // service and a replay of its journal would disagree.
+  const std::string path = tmp_journal("svc_rotation_exit.journal");
+  remove_chain(path);
+  const std::string squatter = path + ".g0";
+  std::filesystem::remove_all(squatter);
+  std::filesystem::create_directory(squatter);
+  std::ofstream(squatter + "/occupant") << "x";
+
+  ServiceConfig config = rotating_config(path);
+  config.arbitration_interval = 0;
+  DriverConfig driver;
+  driver.threads_per_tenant = 4;
+  std::uint32_t live_active = 0;
+  {
+    SpcdService service(config);
+    const RegisterResult a = service.register_tenant("stay", 4);
+    const RegisterResult b = service.register_tenant("leave", 4);
+    ASSERT_TRUE(a.ok && b.ok);
+    bool refused = false;
+    for (std::uint32_t batch = 0; batch < 64 && !refused; ++batch) {
+      const IngestResult r =
+          service.ingest(a.tenant_id, scripted_batch(driver, 0, batch));
+      refused = !r.ok;
+    }
+    ASSERT_TRUE(refused) << "the failed rotation never stopped acks";
+    ASSERT_FALSE(service.journal_ok());
+    const std::uint64_t records = service.journal_records();
+    const std::string metrics = service.metrics_json();
+    live_active = service.active_tenants();
+    EXPECT_EQ(live_active, 2u);
+
+    EXPECT_FALSE(service.tenant_exit(b.tenant_id));
+    EXPECT_EQ(service.active_tenants(), live_active);
+    EXPECT_FALSE(service.re_register(b.tenant_id, 8).ok);
+    EXPECT_EQ(service.arbitrate_now().seq, 0u);
+    EXPECT_EQ(service.journal_records(), records);
+    EXPECT_EQ(service.metrics_json(), metrics);
+  }
+
+  const SpcdService::ReplayResult replayed = SpcdService::replay(path);
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  EXPECT_EQ(replayed.service->active_tenants(), live_active);
+  std::filesystem::remove_all(squatter);
+  remove_chain(path);
+}
+
 TEST(SvcRotationTest, ByteThresholdRotatesToo) {
   const std::string path = tmp_journal("svc_rotation_bytes.journal");
   remove_chain(path);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "workloads/layout.hpp"
+#include "workloads/npb.hpp"
 
 namespace spcd::workloads {
 namespace {
@@ -71,6 +75,31 @@ TEST(BlockProgramTest, FinishIsSticky) {
   (void)program.next();
   EXPECT_EQ(program.next().kind, sim::OpKind::kFinish);
   EXPECT_EQ(program.next().kind, sim::OpKind::kFinish);
+}
+
+TEST(BlockProgramTest, FillsStayWithinTheBound) {
+  // next() checks every block against kBlockOps: a block of exactly the
+  // bound is fine, one op more aborts.
+  CountingProgram exact(1, static_cast<int>(BlockProgram::kBlockOps));
+  EXPECT_EQ(exact.next().kind, sim::OpKind::kCompute);
+  CountingProgram over(1, static_cast<int>(BlockProgram::kBlockOps) + 1);
+  EXPECT_DEATH((void)over.next(), "Postcondition");
+
+  // So draining threads of every kernel through a whole run (first
+  // touch included) aborts if any of their fills emitted more.
+  std::vector<std::unique_ptr<sim::Workload>> workloads;
+  for (const auto& info : nas_benchmarks()) {
+    workloads.push_back(make_nas(info.name, 3, 0.05));
+  }
+  workloads.push_back(make_prodcons(3, 0.05));
+  for (auto& wl : workloads) {
+    for (std::uint32_t tid = 0; tid < wl->num_threads(); tid += 7) {
+      auto program = wl->make_thread(tid, tid);
+      std::uint64_t ops = 0;
+      while (program->next().kind != sim::OpKind::kFinish) ++ops;
+      EXPECT_GT(ops, BlockProgram::kBlockOps) << wl->name();
+    }
+  }
 }
 
 TEST(LayoutTest, PrivateRegionsAreDisjointAndAboveShared) {

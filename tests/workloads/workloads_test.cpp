@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "workloads/alltoall_kernel.hpp"
 #include "workloads/datacube_kernel.hpp"
@@ -358,6 +359,67 @@ TEST(NpbRegistryTest, ProdconsFactory) {
   const auto wl = make_prodcons(1, 0.2);
   ASSERT_NE(wl, nullptr);
   EXPECT_EQ(wl->num_threads(), 32u);
+}
+
+/// FNV-1a over the bytes of an integer, low byte first.
+template <typename T>
+void fnv1a(std::uint64_t& h, T value) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    h ^= static_cast<std::uint64_t>(value >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+}
+
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+
+/// FNV-1a over every field of every op a thread program emits, up to and
+/// including its finish op.
+std::uint64_t stream_digest(sim::ThreadProgram& program) {
+  std::uint64_t h = kFnvOffset;
+  for (;;) {
+    const sim::Op op = program.next();
+    fnv1a(h, static_cast<std::uint8_t>(op.kind));
+    fnv1a(h, static_cast<std::uint8_t>(op.write));
+    fnv1a(h, op.insns);
+    fnv1a(h, op.cycles);
+    fnv1a(h, op.vaddr);
+    if (op.kind == sim::OpKind::kFinish) return h;
+  }
+}
+
+/// Digest of a workload's op streams: each thread's stream digest, made
+/// the way the engine makes threads (seed = tid), folded in tid order.
+std::uint64_t workload_digest(sim::Workload& wl) {
+  std::uint64_t h = kFnvOffset;
+  for (std::uint32_t tid = 0; tid < wl.num_threads(); ++tid) {
+    fnv1a(h, stream_digest(*wl.make_thread(tid, tid)));
+  }
+  return h;
+}
+
+// Every kernel's op streams at scale 0.05, pinned to the digests they had
+// when op generation still emitted one whole outer iteration per fill:
+// how a program cuts its stream into blocks must not change the stream.
+TEST(OpStreamTest, StreamsMatchPinnedDigests) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"bt", 13763132132623188489ULL},
+      {"cg", 3813639435526441625ULL},
+      {"dc", 16756907711840056401ULL},
+      {"ep", 2748826070884290899ULL},
+      {"ft", 9772232176786582704ULL},
+      {"is", 12746476094887318512ULL},
+      {"lu", 2633984331948881128ULL},
+      {"mg", 6136162196020019436ULL},
+      {"prodcons", 11703890559778928882ULL},
+      {"sp", 7184212023470740768ULL},
+      {"ua", 2101002071430115762ULL},
+  };
+  std::map<std::string, std::uint64_t> actual;
+  for (const auto& info : nas_benchmarks()) {
+    actual[info.name] = workload_digest(*make_nas(info.name, 7, 0.05));
+  }
+  actual["prodcons"] = workload_digest(*make_prodcons(7, 0.05));
+  EXPECT_EQ(actual, pinned);
 }
 
 }  // namespace
