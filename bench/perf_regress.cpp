@@ -4,7 +4,7 @@
 // reports ns/op per kernel, and emits a machine-readable BENCH_*.json
 // ("spcd-bench-v1" schema).
 //
-// Unlike the google-benchmark micros, this harness is also a *correctness*
+// The harness is also a *correctness*
 // gate: every kernel folds its results into a deterministic FNV-1a
 // checksum which must match the reference value recorded from the
 // oracle-checked pre-optimization build. Any hot-path "optimization" that

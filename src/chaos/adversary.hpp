@@ -21,8 +21,8 @@
 //                  keeps flipping and the filter re-triggers indefinitely.
 //
 // Determinism contract: phantom faults are fabricated per *delivered* real
-// fault, inside the detector's serial drain loop, from an RNG stream seeded
-// by the cell seed. The fabrication schedule is therefore a pure function
+// fault, inside the detector's fault hook, from an RNG stream seeded by
+// the cell seed. The fabrication schedule is therefore a pure function
 // of the (already deterministic) fault stream — bit-identical for any
 // SPCD_JOBS value. With kind == kNone no stream is created and no draw
 // ever happens.

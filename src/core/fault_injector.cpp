@@ -95,12 +95,9 @@ void FaultInjector::tick(sim::Engine& engine) {
   obs::trace_counter("injector", "pages_cleared", engine.now(),
                      pages_cleared_);
   if (obs::Session* s = obs::current_session()) {
-    if (s != hist_session_) {
-      hist_session_ = s;
-      batch_hist_ = &s->metrics().histogram(
-          "injector.batch_pages", obs::Histogram::pow2_buckets(13));
-    }
-    batch_hist_->observe(static_cast<double>(last_batch_));
+    s->metrics()
+        .histogram("injector.batch_pages", obs::Histogram::pow2_buckets(13))
+        .observe(static_cast<double>(last_batch_));
   }
 
   // The kernel thread preempts whichever contexts it runs on; spread each

@@ -18,11 +18,6 @@
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
-namespace spcd::obs {
-class Histogram;
-class Session;
-}  // namespace spcd::obs
-
 namespace spcd::core {
 
 class FaultInjector {
@@ -58,11 +53,6 @@ class FaultInjector {
   std::uint32_t overrun_skips_ = 0;
   /// A tick firing after this deadline overran (0 = no deadline yet).
   util::Cycles deadline_ = 0;
-  /// Cached batch-size histogram (registry references are stable), plus
-  /// the session it belongs to so a new session re-resolves it. Avoids a
-  /// name lookup and a bucket-vector build on every wake-up.
-  obs::Session* hist_session_ = nullptr;
-  obs::Histogram* batch_hist_ = nullptr;
 };
 
 }  // namespace spcd::core

@@ -130,9 +130,6 @@ void SpcdKernel::schedule_retry(sim::Engine& engine, sim::Placement target,
 }
 
 void SpcdKernel::mapping_tick(sim::Engine& engine) {
-  // Quantum boundary: deliver all ring-buffered fault events before any
-  // mapping decision reads detector state.
-  detector_.flush();
   const std::uint32_t n = engine.num_threads();
   const bool hardened = config_.hardening.enabled;
 

@@ -27,9 +27,6 @@ SharingTable::SharingTable(const SharingTableConfig& config)
   SPCD_EXPECTS(config.num_entries <= (1ULL << 32));
   bucket_magic_ = ~0ULL / config.num_entries + 1;
   table_.resize(config.num_entries);
-  if (config_.collision_policy == CollisionPolicy::kChain) {
-    overflow_.resize(config.num_entries);
-  }
 }
 
 std::uint64_t SharingTable::bucket_of(std::uint64_t region) const {
@@ -101,7 +98,7 @@ CommunicationEvent SharingTable::record_access(std::uint64_t vaddr,
   const std::uint64_t region = region_of(vaddr);
   std::uint64_t bucket = bucket_of(region);
   if (bucket_hook_) (void)bucket_hook_(table_.size(), &bucket);
-  Entry& head = table_[bucket];
+  Entry& entry = table_[bucket];
 
   // Saturation-aware admission (hardening, default off): an established
   // sharer list may only be overwritten after absorbing
@@ -110,63 +107,34 @@ CommunicationEvent SharingTable::record_access(std::uint64_t vaddr,
   // nothing it did not build itself. Refused accesses detect no
   // communication (the honest path pays nothing: its own region's entry is
   // exactly the one being protected).
-  if (config_.guard_admission && head.region != region &&
-      head.region != Entry::kEmpty && head.sharer_count >= 2 &&
-      config_.collision_policy == CollisionPolicy::kOverwrite) {
+  if (config_.guard_admission && entry.region != region &&
+      entry.region != Entry::kEmpty && entry.sharer_count >= 2) {
     const bool suspect =
         suspect_flags_ != nullptr && tid < suspect_count_ &&
         suspect_flags_[tid] != 0;
-    if (suspect || head.refusals < config_.admission_max_refusals) {
-      if (!suspect) ++head.refusals;
+    if (suspect || entry.refusals < config_.admission_max_refusals) {
+      if (!suspect) ++entry.refusals;
       ++admissions_refused_;
       return CommunicationEvent{};
     }
   }
 
-  if (config_.collision_policy == CollisionPolicy::kOverwrite ||
-      head.region == region || head.region == Entry::kEmpty) {
-    return touch_entry(head, region, tid, now);
-  }
-
-  // Chained mode: search the overflow list, append if absent.
-  auto& chain = overflow_[bucket];
-  for (Entry& e : chain) {
-    if (e.region == region) return touch_entry(e, region, tid, now);
-  }
-  ++collisions_;
-  chain.emplace_back();
-  ++occupied_;
-  return touch_entry(chain.back(), region, tid, now);
-}
-
-std::uint64_t SharingTable::memory_bytes() const {
-  std::uint64_t bytes = table_.size() * sizeof(Entry);
-  for (const auto& chain : overflow_) bytes += chain.size() * sizeof(Entry);
-  return bytes;
+  return touch_entry(entry, region, tid, now);
 }
 
 std::uint64_t SharingTable::age(util::Cycles now, util::Cycles window) {
   const util::Cycles cutoff = now > window ? now - window : 0;
   std::uint64_t evicted = 0;
-  auto is_stale = [&](const Entry& e) {
-    if (e.region == Entry::kEmpty) return false;
+  for (Entry& e : table_) {
+    if (e.region == Entry::kEmpty) continue;
     util::Cycles newest = 0;
     for (std::uint32_t i = 0; i < e.sharer_count; ++i) {
       newest = std::max(newest, e.sharers[i].last_access);
     }
-    return newest < cutoff;
-  };
-  for (Entry& e : table_) {
-    if (is_stale(e)) {
+    if (newest < cutoff) {
       e = Entry{};
       ++evicted;
     }
-  }
-  for (auto& chain : overflow_) {
-    const auto stale_begin =
-        std::remove_if(chain.begin(), chain.end(), is_stale);
-    evicted += static_cast<std::uint64_t>(chain.end() - stale_begin);
-    chain.erase(stale_begin, chain.end());
   }
   occupied_ -= evicted;
   return evicted;
@@ -174,13 +142,11 @@ std::uint64_t SharingTable::age(util::Cycles now, util::Cycles window) {
 
 void SharingTable::reset_entries() {
   for (auto& e : table_) e = Entry{};
-  for (auto& chain : overflow_) chain.clear();
   occupied_ = 0;
 }
 
 void SharingTable::clear() {
   for (auto& e : table_) e = Entry{};
-  for (auto& chain : overflow_) chain.clear();
   collisions_ = occupied_ = accesses_ = window_rejects_ = 0;
   admissions_refused_ = 0;
 }

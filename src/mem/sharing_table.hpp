@@ -8,7 +8,7 @@
 //   * fixed size, default 256,000 entries (~1 GiB of coverage at 4 KiB
 //     granularity; ~18 MiB of kernel memory),
 //   * hash collisions overwrite the previous entry ("to reduce the
-//     overhead", SIII-B1),
+//     overhead", SIII-B1) — the only collision policy,
 //   * a subsequent access counts as communication only with sharers whose
 //     last access fell inside a time window (temporal false communication,
 //     SIII-C2),
@@ -25,10 +25,6 @@
 
 namespace spcd::mem {
 
-/// Collision handling policy. The paper uses overwrite; chaining exists for
-/// the ablation study (DESIGN.md S5.1).
-enum class CollisionPolicy : std::uint8_t { kOverwrite, kChain };
-
 struct SharingTableConfig {
   std::uint64_t num_entries = 256000;
   /// log2 of the detection granularity in bytes (default 4 KiB like the
@@ -37,7 +33,6 @@ struct SharingTableConfig {
   /// Accesses farther apart than this window are not communication.
   /// 0 disables the temporal filter.
   util::Cycles time_window = 0;
-  CollisionPolicy collision_policy = CollisionPolicy::kOverwrite;
   /// Sharers remembered per region; the kernel module bounds this so an
   /// entry stays ~72 bytes. The oldest sharer is evicted when full.
   std::uint32_t max_sharers = 8;
@@ -74,18 +69,10 @@ class SharingTable {
     return vaddr >> config_.granularity_shift;
   }
 
-  /// Hint that `vaddr`'s bucket will be accessed soon. Purely a cache
-  /// prefetch — no architectural effect. The detector issues these for
-  /// ring-buffered faults a few events ahead of their delivery, hiding the
-  /// table's (deliberately paper-sized, memory-resident) probe latency.
-  void prefetch(std::uint64_t vaddr) const {
-    __builtin_prefetch(&table_[bucket_of(region_of(vaddr))]);
-  }
-
   const SharingTableConfig& config() const { return config_; }
 
-  /// Approximate memory footprint of the table in bytes.
-  std::uint64_t memory_bytes() const;
+  /// Memory footprint of the table in bytes.
+  std::uint64_t memory_bytes() const { return table_.size() * sizeof(Entry); }
 
   /// Optional perturbation hook: may replace an access's bucket before the
   /// lookup (the chaos layer uses this to force collisions and saturation
@@ -107,8 +94,8 @@ class SharingTable {
   }
 
   /// Graceful degradation for a saturated table: evict entries whose most
-  /// recent access is older than `now - window` (and stale whole overflow
-  /// chains in chained mode). Returns the number of entries evicted.
+  /// recent access is older than `now - window`. Returns the number of
+  /// entries evicted.
   std::uint64_t age(util::Cycles now, util::Cycles window);
 
   /// Drop every entry but keep the cumulative statistics (unlike clear()),
@@ -158,8 +145,6 @@ class SharingTable {
   /// ceil(2^64 / num_entries), for divide-free modulo in bucket_of.
   std::uint64_t bucket_magic_ = 0;
   std::vector<Entry> table_;
-  // Chained mode keeps per-bucket overflow lists (ablation only).
-  std::vector<std::vector<Entry>> overflow_;
   BucketHook bucket_hook_;
   EvictionHook eviction_hook_;
 

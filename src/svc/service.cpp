@@ -75,13 +75,17 @@ RegisterResult SpcdService::register_tenant(const std::string& name,
     return result;
   }
   std::lock_guard<std::mutex> lock(commit_mu_);
-  const std::uint32_t id = registry_.add(name, num_threads);
-  const Tenant* t = registry_.find(id);
+  // Ids are sequential and the tenant takes the next fresh tid block, so
+  // the record can be journaled before the tenant exists in memory: a
+  // refused register leaves nothing behind.
+  const std::uint32_t id = registry_.registered() + 1;
+  const std::uint32_t base_tid = registry_.tid_space();
   if (!journal_append_locked(
-          encode_register(id, name, num_threads, t->base_tid))) {
+          encode_register(id, name, num_threads, base_tid))) {
     result.error = kJournalFailed;
     return result;
   }
+  registry_.add(name, num_threads);
   if (trace_ != nullptr) {
     obs::ScopedSession bind(trace_);
     obs::trace_instant("svc", "register", total_events_, {"tenant", id},
@@ -91,7 +95,7 @@ RegisterResult SpcdService::register_tenant(const std::string& name,
   }
   result.ok = true;
   result.tenant_id = id;
-  result.base_tid = t->base_tid;
+  result.base_tid = base_tid;
   maybe_rotate_locked();
   return result;
 }

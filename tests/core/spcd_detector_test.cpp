@@ -101,7 +101,7 @@ std::vector<mem::FaultEvent> synthetic_stream(std::size_t count) {
   return events;
 }
 
-// Expected state after a fault stream, read through the flushing accessors.
+// The detector state a fault stream leaves behind.
 struct DetectorState {
   std::vector<std::uint64_t> triangle;
   std::uint64_t faults_seen;
@@ -122,30 +122,10 @@ struct DetectorState {
   bool operator==(const DetectorState&) const = default;
 };
 
-TEST(SpcdDetectorTest, BatchedDeliveryIsBitIdenticalToUnbatched) {
-  // Detector A drains only when its ring fills (plus one final flush);
-  // detector B is forced to deliver every fault immediately by reading an
-  // accessor after each event. State must match exactly — the ring may
-  // change only *when* work happens, never its result.
-  SpcdConfig config;
-  config.saturation_check_faults = 64;  // exercise the saturation monitor
-  config.table.num_entries = 64;        // tiny table: force collisions
-  SpcdDetector batched(config, 8);
-  SpcdDetector unbatched(config, 8);
-  const auto events = synthetic_stream(1000);  // not a multiple of the ring
-  for (const auto& e : events) {
-    batched.on_fault(e);
-    unbatched.on_fault(e);
-    unbatched.flush();
-  }
-  EXPECT_EQ(DetectorState::of(batched), DetectorState::of(unbatched));
-  EXPECT_GT(batched.communication_events(), 0u);
-}
-
 TEST(SpcdDetectorTest, BatchedDeliveryBitIdenticalUnderChaos) {
-  // Same comparison with fault drops, duplicates, and forced collisions:
-  // the chaos draws stay synchronous in on_fault, so identical seeds must
-  // yield identical streams regardless of when the ring drains.
+  // Fault drops, duplicates, and forced collisions: identical seeds must
+  // yield identical detector state, and each duplicate runs the hook twice,
+  // so it doubles that fault's cost.
   chaos::PerturbationConfig chaos_config;
   chaos_config.drop_fault = 0.1;
   chaos_config.duplicate_fault = 0.1;
@@ -153,29 +133,34 @@ TEST(SpcdDetectorTest, BatchedDeliveryBitIdenticalUnderChaos) {
   chaos::PerturbationEngine chaos_a(chaos_config, 42);
   chaos::PerturbationEngine chaos_b(chaos_config, 42);
   SpcdConfig config;
-  config.saturation_check_faults = 64;
-  config.table.num_entries = 64;
-  SpcdDetector batched(config, 8, &chaos_a);
-  SpcdDetector unbatched(config, 8, &chaos_b);
-  std::uint64_t cost_batched = 0, cost_unbatched = 0;
-  for (const auto& e : synthetic_stream(1000)) {
-    cost_batched += batched.on_fault(e);
-    cost_unbatched += unbatched.on_fault(e);
-    unbatched.flush();
+  config.saturation_check_faults = 64;  // exercise the saturation monitor
+  config.table.num_entries = 64;        // tiny table: force collisions
+  SpcdDetector a(config, 8, &chaos_a);
+  SpcdDetector b(config, 8, &chaos_b);
+  const auto events = synthetic_stream(1000);
+  std::uint64_t cost_a = 0, cost_b = 0;
+  for (const auto& e : events) {
+    cost_a += a.on_fault(e);
+    cost_b += b.on_fault(e);
   }
-  EXPECT_EQ(cost_batched, cost_unbatched);
-  EXPECT_EQ(DetectorState::of(batched), DetectorState::of(unbatched));
-  EXPECT_EQ(chaos_a.counters().faults_dropped,
-            chaos_b.counters().faults_dropped);
-  EXPECT_GT(chaos_a.counters().faults_dropped, 0u);
+  EXPECT_EQ(cost_a, cost_b);
+  EXPECT_EQ(DetectorState::of(a), DetectorState::of(b));
+  const auto& counters = chaos_a.counters();
+  EXPECT_GT(counters.faults_dropped, 0u);
+  EXPECT_GT(counters.faults_duplicated, 0u);
+  const std::uint64_t hooks =
+      events.size() - counters.faults_dropped + counters.faults_duplicated;
+  EXPECT_EQ(cost_a, config.fault_hook_cost * hooks);
+  EXPECT_GT(a.communication_events(), 0u);
 }
 
-TEST(SpcdDetectorTest, RingOverflowDrainsWithoutLosingEvents) {
-  // More events than the ring holds, with no accessor reads in between:
-  // the ring must drain itself on overflow and lose nothing.
+TEST(SpcdDetectorTest, EveryFaultIsDeliveredOnArrival) {
+  // No fault waits for a later one: each is counted as soon as on_fault
+  // returns, and all 500 are counted at the end.
   SpcdDetector detector(SpcdConfig{}, 2);
   for (std::uint32_t i = 0; i < 500; ++i) {
     detector.on_fault(fault(0x1000, i % 2, 10 * (i + 1)));
+    ASSERT_EQ(detector.faults_seen(), i + 1u);
   }
   EXPECT_EQ(detector.faults_seen(), 500u);
   EXPECT_GT(detector.matrix().at(0, 1), 0u);

@@ -5,7 +5,9 @@
 // all (RunMetrics::obs stays null, results untouched).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -80,6 +82,33 @@ TEST(TraceDeterminismTest, CapturedMetricsIncludeDegradationCounters) {
     needle += '"';
     EXPECT_NE(json.find(needle), std::string::npos) << d.name;
   }
+}
+
+TEST(TraceDeterminismTest, DetectorFaultsFollowOnlyEarlierKernelEvents) {
+  // The engine runs a thread's op only while its clock is at or before the
+  // next kernel event, and the detector handles each fault inside that op.
+  // So in capture order, no injector/filter/mapper instant recorded before
+  // a detector fault may carry a later simulated time than the fault.
+  const auto runs = run_grid("1", /*traced=*/true);
+  std::uint64_t checked = 0;
+  for (const auto& m : runs) {
+    ASSERT_NE(m.obs, nullptr);
+    util::Cycles latest_kernel = 0;
+    for (const obs::TraceEvent& ev : m.obs->events) {
+      if (ev.kind != obs::EventKind::kInstant) continue;
+      if (std::strcmp(ev.cat, "injector") == 0 ||
+          std::strcmp(ev.cat, "filter") == 0 ||
+          std::strcmp(ev.cat, "mapper") == 0) {
+        latest_kernel = std::max(latest_kernel, ev.time);
+      } else if (std::strcmp(ev.cat, "detector") == 0 &&
+                 std::strcmp(ev.name, "fault") == 0) {
+        ASSERT_LE(latest_kernel, ev.time)
+            << "a detector fault is recorded after a later kernel event";
+        if (latest_kernel != 0) ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(TraceDeterminismTest, DisabledTracingCapturesNothing) {

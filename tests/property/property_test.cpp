@@ -140,7 +140,7 @@ struct SharingCase {
   std::uint64_t entries;
   unsigned shift;
   std::uint32_t max_sharers;
-  mem::CollisionPolicy policy;
+  util::Cycles time_window;  ///< 0 disables the temporal filter
 };
 
 class SharingTableProperty : public ::testing::TestWithParam<SharingCase> {};
@@ -151,8 +151,7 @@ TEST_P(SharingTableProperty, NeverReportsSelfOrOutOfWindowPartners) {
   config.num_entries = param.entries;
   config.granularity_shift = param.shift;
   config.max_sharers = param.max_sharers;
-  config.collision_policy = param.policy;
-  config.time_window = 10'000;
+  config.time_window = param.time_window;
   mem::SharingTable table(config);
 
   util::Xoshiro256 rng(42);
@@ -176,7 +175,7 @@ TEST_P(SharingTableProperty, DeterministicReplay) {
   config.num_entries = param.entries;
   config.granularity_shift = param.shift;
   config.max_sharers = param.max_sharers;
-  config.collision_policy = param.policy;
+  config.time_window = param.time_window;
 
   auto run = [&config] {
     mem::SharingTable table(config);
@@ -198,11 +197,8 @@ TEST_P(SharingTableProperty, DeterministicReplay) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, SharingTableProperty,
     ::testing::Values(
-        SharingCase{16, 12, 8, mem::CollisionPolicy::kOverwrite},
-        SharingCase{16, 12, 8, mem::CollisionPolicy::kChain},
-        SharingCase{4096, 6, 2, mem::CollisionPolicy::kOverwrite},
-        SharingCase{4096, 16, 4, mem::CollisionPolicy::kOverwrite},
-        SharingCase{256000, 12, 8, mem::CollisionPolicy::kOverwrite}));
+        SharingCase{16, 12, 8, 10'000}, SharingCase{4096, 6, 2, 10'000},
+        SharingCase{4096, 16, 4, 0}, SharingCase{256000, 12, 8, 10'000}));
 
 // ---------------------------------------------------------------------------
 // Mapper properties over random communication matrices and topologies:

@@ -69,11 +69,12 @@ TEST(SvcServiceTest, UnopenableJournalAcksNothing) {
   SpcdService service(config);
   EXPECT_FALSE(service.journal_ok());
   EXPECT_FALSE(service.register_tenant("alpha", 4).ok);
-  // The failed register still left its tenant id in memory; a batch for
-  // it must be refused with nothing applied.
+  // The refused register left no tenant in memory, so a batch for the id
+  // it would have taken is refused with nothing applied.
+  EXPECT_EQ(service.registered_tenants(), 0u);
   const IngestResult r = service.ingest(1, pair_batch(64));
   EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.error, "journal write failed");
+  EXPECT_EQ(r.error, "unknown tenant");
   EXPECT_EQ(service.total_events(), 0u);
   EXPECT_EQ(service.journal_records(), 0u);
 }
